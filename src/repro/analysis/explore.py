@@ -26,28 +26,26 @@ livelock, mutual exclusion, Θ-class lockstep) are all preserved by
 automorphisms.  ``symmetry=False`` falls back to exact configurations
 (the encoder's identity key).
 
-**Determinism and sharding.**  BFS enqueues children in system processor
+**Determinism and levels.**  BFS enqueues children in system processor
 order, so discovery order is globally sorted by ``(depth, prefix)`` and
-the first violation found is the lexicographically least counterexample.
-Parallel runs are *level-synchronous*: a serial trunk explores to
-``split_depth``, then each deeper BFS level fans its frontier out across
-a ``ProcessPoolExecutor`` in fixed-size chunks.  Workers build their
-scenario/canonicalizer context **once** (pool initializer, not per
-task), the level's frontier is published through one
-:class:`~multiprocessing.managers.SharedMemoryManager` block that every
-worker attaches instead of receiving pickled payloads, and workers
-reconstruct states by replaying schedule prefixes against a shared-path
-cache (consecutive frontier entries share all but their last steps).
-The parent merges chunk results in frontier order and owns the visited
-set, so every state is expanded by exactly one worker exactly once —
-parallel total work equals serial total work, unlike subtree sharding
-whose overlapping shard subtrees multiply it.  Chunking is independent
-of the worker count and the serial path walks the identical
-trunk/level/chunk structure, so a sharded run reports the same verdict,
-states and — after the bounded canonicalization re-search — the same
-counterexample as the serial one, on any worker count and under any
+the first violation found is the lexicographically least counterexample
+(an unreduced BFS needs no re-search to normalize it).  BFS is one loop
+that finishes each depth — a *level* — before starting the next.  A
+level runs in-process over live nodes: children are deduplicated as
+they are found and each node's executor is dropped once visited.  When
+``workers > 1`` and a level holds more than one :data:`_CHUNK` of
+states, it runs on a ``ProcessPoolExecutor`` instead, in fixed-size
+chunks passed as plain ``[schedule, digest]`` task arguments.  Workers
+build their scenario/canonicalizer context once (pool initializer) and
+rebuild each state by replaying its schedule, sharing the replay of
+common prefixes; the in-process loop replays the same way only when
+resuming or after a pooled level.  The parent merges chunks in frontier
+order and owns the visited set, so every state is expanded exactly
+once wherever its level ran: verdict, states, stats, probe hits and
+counterexample are identical on every worker count and under any
 ``PYTHONHASHSEED``.  Finished levels stream to a JSONL checkpoint and
-are not re-run on resume.
+are not re-run on resume.  DFS and livelock walks run the whole tree
+in-process.
 
 CLI: ``python -m repro explore --topology dining --size 5 ...`` and
 ``python -m repro bench-explore`` (``BENCH_explore.json``).
@@ -59,11 +57,10 @@ import json
 import os
 import struct
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from hashlib import blake2b
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.encoding import StateEncoder
 from ..core.names import NodeId
@@ -75,6 +72,7 @@ from ..obs.scenarios import ScenarioBundle, build_scenario, normalize_spec
 from ..obs.trace_io import TraceWriter
 from ..runtime.executor import Executor
 from ..runtime.scheduler import ReplayScheduler
+from .checkpoint import CheckpointWriter, load_checkpoint
 
 _STRATEGIES = ("bfs", "dfs")
 _FAIRNESS = ("none", "fair", "k-bounded")
@@ -86,8 +84,8 @@ _DIGEST_SIZE = 16
 
 
 def _digest(key: bytes) -> bytes:
-    """A 128-bit stable digest of a state key: what visited sets, shard
-    skip tables and reports store instead of the full key."""
+    """A 128-bit stable digest of a state key: what visited sets,
+    frontiers and reports store instead of the full key."""
     return blake2b(key, digest_size=_DIGEST_SIZE).digest()
 
 
@@ -281,8 +279,8 @@ class ExploreSpec:
             scheduler entry only matters for the fallback of replayed
             counterexamples — exploration enumerates choices itself.
         max_depth: schedule prefixes up to this length are explored.
-        strategy: ``"bfs"`` (canonical counterexamples, sharding) or
-            ``"dfs"`` (needed for livelock detection).
+        strategy: ``"bfs"`` (canonical counterexamples, pooled levels)
+            or ``"dfs"`` (needed for livelock detection).
         fairness: ``"none"``, ``"fair"`` or ``"k-bounded"``.  Every
             finite prefix extends to a fair schedule, so ``"fair"``
             prunes nothing over a bounded horizon (it is accepted for
@@ -313,13 +311,8 @@ class ExploreSpec:
             degenerate mode used to cross-check single-run analyses and
             to verify counterexamples.  Deduplication is disabled, since
             a position in a fixed schedule determines its future.
-        split_depth: serial trunk depth before sharding; ``0`` disables
-            sharding.  Forced to 0 for DFS, livelock and restricted
-            runs.
-        probe_limit: cap on recorded probe hits.
-        symmetry_limit: retained for spec/checkpoint compatibility; the
-            stabilizer-chain canonicalizer is exact without enumerating
-            the group, so no cap is applied any more.
+        probe_limit: cap on recorded probe hits (under BFS, the first
+            ones in discovery order, however the levels are chunked).
     """
 
     scenario: Dict[str, Any]
@@ -334,9 +327,7 @@ class ExploreSpec:
     check_livelock: bool = False
     progress: Optional[str] = None
     restrict: Optional[Tuple[str, ...]] = None
-    split_depth: int = 2
     probe_limit: int = 32
-    symmetry_limit: int = 2000
 
     def __post_init__(self) -> None:
         doc = normalize_spec(dict(self.scenario))
@@ -361,12 +352,10 @@ class ExploreSpec:
             object.__setattr__(self, "k", int(self.k))
         elif self.k is not None:
             raise ExploreError("k is only meaningful with fairness='k-bounded'")
-        if self.max_depth < 0:
-            raise ExploreError("max_depth must be >= 0")
-        if self.split_depth < 0:
-            raise ExploreError("split_depth must be >= 0")
-        if self.probe_limit < 0:
-            raise ExploreError("probe_limit must be >= 0")
+        for name in ("max_depth", "probe_limit"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ExploreError(f"{name} must be an integer >= 0, not {value!r}")
         object.__setattr__(self, "invariants", tuple(self.invariants))
         object.__setattr__(self, "probes", tuple(self.probes))
         for name in self.invariants:
@@ -413,13 +402,22 @@ class ExploreSpec:
             "check_livelock": self.check_livelock,
             "progress": self.progress,
             "restrict": None if self.restrict is None else list(self.restrict),
-            "split_depth": self.split_depth,
             "probe_limit": self.probe_limit,
-            "symmetry_limit": self.symmetry_limit,
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExploreSpec":
+        if not isinstance(doc, dict):
+            raise ExploreError("an explore spec must be a JSON object")
+        known = {f.name for f in fields(cls)}
+        for key in doc:
+            if key not in known:
+                raise ExploreError(
+                    f"unknown explore spec key {key!r}; pick from {sorted(known)}"
+                )
+        for key in ("scenario", "max_depth"):
+            if key not in doc:
+                raise ExploreError(f"explore spec needs {key!r}")
         doc = dict(doc)
         for key in ("invariants", "probes"):
             doc[key] = tuple(doc.get(key, ()))
@@ -430,7 +428,7 @@ class ExploreSpec:
 
 @dataclass
 class ExploreStats:
-    """Counters of one exploration (summed across trunk and shards)."""
+    """Counters of one exploration (summed across levels)."""
 
     visited: int = 0
     expanded: int = 0
@@ -468,7 +466,6 @@ class ExploreResult:
     workers: int
     elapsed: float
     group_size: int
-    truncated: bool = False
     state_digests: Tuple[str, ...] = ()
 
     @property
@@ -551,7 +548,7 @@ class _Checks:
 class _KeyMaker:
     """State → byte key for one system: canonical under symmetry
     reduction, identity encoding otherwise.  Built once per process and
-    shared by trunk and shard walkers.
+    shared by every walker in it.
 
     Under symmetry reduction the canonical key of a state is memoized by
     its *identity* key: the identity encoding determines the state
@@ -572,7 +569,6 @@ class _KeyMaker:
             else None
         )
         self.group_size = self.canon.group_size if self.canon is not None else 1
-        self.truncated = False  # the chain is exact; nothing to truncate
         self.memo: Dict[bytes, bytes] = {}
         self.fresh: Dict[bytes, bytes] = {}
         self.memo_hits = 0
@@ -606,23 +602,23 @@ class _KeyMaker:
 class _Node:
     """One node of the choice tree."""
 
-    __slots__ = ("executor", "depth", "schedule", "ages", "counts", "key",
+    __slots__ = ("executor", "depth", "schedule", "ages", "counts",
                  "digest", "children", "progress")
 
     def __init__(self, executor, depth, schedule, ages, counts) -> None:
         self.executor = executor
         self.depth = depth
-        self.schedule = schedule  # tuple of NodeId choices from the root
+        self.schedule = schedule  # tuple of str(processor) choices from the root
         self.ages = ages          # per-processor steps since last scheduled
         self.counts = counts      # per-processor executed (non-noop) steps
-        self.key = None           # canonical byte key
-        self.digest = None        # 16-byte digest of the key
+        self.digest = None        # 16-byte digest of the state's byte key
         self.children: Optional[List["_Node"]] = None
         self.progress = False
 
 
 class _Walker:
-    """BFS/DFS over the choice tree of one shard (or one level chunk)."""
+    """Visits nodes of the choice tree: one BFS level (or one chunk of
+    it), or the whole tree depth-first."""
 
     def __init__(
         self,
@@ -636,13 +632,13 @@ class _Walker:
         self.keys = keys
         self.checks = checks
         self.procs: Tuple[NodeId, ...] = tuple(bundle.system.processors)
-        self.by_str = {str(p): p for p in self.procs}
+        self.names: Tuple[str, ...] = tuple(str(p) for p in self.procs)
+        self.by_str = dict(zip(self.names, self.procs))
         self.index = {p: i for i, p in enumerate(self.procs)}
         self.track_ages = spec.fairness == "k-bounded"
         self.track_counts = checks.needs_counts
         self.stats = ExploreStats()
         self.digests: Set[bytes] = set()
-        self.seen_digests: Set[bytes] = set()  # dedup set incl. frontier
         self.probe_hits: List[dict] = []
         self.violation: Optional[Violation] = None
 
@@ -661,23 +657,14 @@ class _Walker:
             (0,) * n if self.track_counts else None,
         )
 
-    def _root_node(self, prefix: Sequence[str]) -> _Node:
+    def _root_node(self) -> _Node:
         node = self._root_light()
-        node.key = self._key(node)
-        node.digest = _digest(node.key)
-        for p_str in prefix:
-            try:
-                proc = self.by_str[p_str]
-            except KeyError:
-                raise ExploreError(
-                    f"schedule prefix names unknown processor {p_str!r}"
-                ) from None
-            node = self._child(node, proc, node.executor.successor(proc))
+        node.digest = _digest(self._key(node))
         return node
 
     def _step_light(self, node: _Node, proc: NodeId, twin: Executor) -> _Node:
-        """The successor node *without* its canonical key — replaying a
-        schedule prefix only needs the endpoint's key."""
+        """The successor node *without* its digest — replay takes the
+        digest from the frontier entry instead of recomputing the key."""
         i = self.index[proc]
         ages = node.ages
         if ages is not None:
@@ -685,12 +672,13 @@ class _Walker:
         counts = node.counts
         if counts is not None and not node.executor.halted[proc]:
             counts = tuple(c + 1 if j == i else c for j, c in enumerate(counts))
-        return _Node(twin, node.depth + 1, node.schedule + (proc,), ages, counts)
+        return _Node(
+            twin, node.depth + 1, node.schedule + (self.names[i],), ages, counts
+        )
 
     def _child(self, node: _Node, proc: NodeId, twin: Executor) -> _Node:
         child = self._step_light(node, proc, twin)
-        child.key = self._key(child)
-        child.digest = _digest(child.key)
+        child.digest = _digest(self._key(child))
         return child
 
     def _key(self, node: _Node) -> bytes:
@@ -745,7 +733,7 @@ class _Walker:
         executor = node.executor
         self.stats.visited += 1
         self.digests.add(node.digest)
-        schedule = tuple(str(p) for p in node.schedule)
+        schedule = node.schedule
         if checks.progress is not None:
             node.progress = checks.progress(executor)
         for name, fn in checks.probes:
@@ -803,45 +791,71 @@ class _Walker:
 
     # -- traversals ----------------------------------------------------
 
-    def run_bfs(
-        self, prefix: Sequence[str], collect_at: Optional[int] = None
-    ) -> List[Tuple[Tuple[str, ...], bytes]]:
-        """BFS from ``prefix``.  With ``collect_at`` set, children at that
-        depth are not visited; their (deduplicated, discovery-ordered)
-        ``(schedule, digest)`` pairs are returned as the first parallel
-        frontier."""
-        spec = self.spec
-        dedup = spec.restrict is None
-        root = self._root_node(prefix)
-        visited = {root.digest} if dedup else None
-        frontier: List[Tuple[Tuple[str, ...], bytes]] = []
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
+    def replay(self, entries: Iterable[Sequence]) -> Iterator[_Node]:
+        """Rebuild level states from ``[schedule, digest-hex]`` entries.
+
+        Entries come in BFS discovery order and share long common
+        prefixes, so a path cache (``path[d]`` = the replayed node after
+        ``d`` steps) turns replay into "pop the divergent suffix, step
+        the new one".  The digest was computed when the state was
+        discovered, so no key is recomputed for the state itself.
+        """
+        path = [self._root_light()]
+        for sched, dhex in entries:
+            prev = path[-1].schedule
+            common = 0
+            limit = min(len(sched), len(prev))
+            while common < limit and prev[common] == sched[common]:
+                common += 1
+            del path[common + 1:]
+            node = path[common]
+            for p_str in sched[common:]:
+                proc = self.by_str.get(p_str)
+                if proc is None:
+                    raise ExploreError(
+                        f"frontier schedule names unknown processor {p_str!r}"
+                    )
+                node = self._step_light(node, proc, node.executor.successor(proc))
+                path.append(node)
+            node.digest = bytes.fromhex(dhex)
+            yield node
+
+    def run_level(
+        self, nodes: Iterable[_Node], visited: Optional[Set[bytes]]
+    ) -> List[_Node]:
+        """Visit one BFS level in order and return the next one.
+
+        Children are deduplicated against ``visited`` as they are found
+        (``None`` keeps them all: restricted walks), and each node's
+        executor is dropped once visited.  Stops at the first violation.
+        """
+        nxt: List[_Node] = []
+        for node in nodes:
             violation = self._visit(node)
+            children = node.children
+            node.children = node.executor = None
             if violation is not None:
                 self.violation = violation
-                return frontier
-            children = node.children or []
-            node.children = None
-            node.executor = None  # free: children carry their own clones
+                return []
             for child in children:
-                if dedup:
+                if visited is not None:
                     if child.digest in visited:
                         continue
                     visited.add(child.digest)
-                if collect_at is not None and child.depth >= collect_at:
-                    frontier.append(
-                        (tuple(str(p) for p in child.schedule), child.digest)
-                    )
-                    continue
-                queue.append(child)
-        if dedup:
-            self.seen_digests = visited
-        return frontier
+                nxt.append(child)
+        return nxt
 
-    def run_dfs(self, prefix: Sequence[str]) -> None:
-        """DFS from ``prefix``; detects no-progress cycles when asked.
+    def level_doc(self) -> dict:
+        """This walker's level (or chunk) as a plain document."""
+        return {
+            "stats": self.stats.to_json(),
+            "probes": self.probe_hits,
+            "violation": None if self.violation is None else self.violation.to_json(),
+            "expanded": sorted(d.hex() for d in self.digests),
+        }
+
+    def run_dfs(self) -> None:
+        """DFS from the root; detects no-progress cycles when asked.
 
         A state is re-expanded when reached at a strictly smaller depth
         than before (more remaining budget), so bounded-depth coverage
@@ -852,7 +866,7 @@ class _Walker:
         spec = self.spec
         dedup = spec.restrict is None
         livelock = spec.check_livelock
-        root = self._root_node(prefix)
+        root = self._root_node()
         visited: Dict[bytes, int] = {root.digest: root.depth} if dedup else None
         violation = self._visit(root)
         if violation is not None:
@@ -879,7 +893,7 @@ class _Walker:
                     self.violation = Violation(
                         "livelock", "",
                         child.depth,
-                        tuple(str(p) for p in child.schedule),
+                        child.schedule,
                         f"schedule loops back to the state at depth "
                         f"{segment[0].depth} (cycle length "
                         f"{child.depth - segment[0].depth}) with no progress",
@@ -901,108 +915,15 @@ class _Walker:
                     path.append(child)
                 stack.append((child, iter(child.children)))
 
-    # -- level-synchronous expansion -----------------------------------
-
-    def expand_chunk(self, entries: Sequence[Sequence]) -> dict:
-        """Visit one chunk of a BFS level's frontier.
-
-        Each entry is ``[schedule, digest-hex]``; the state is rebuilt by
-        replaying the schedule from the root.  Consecutive frontier
-        entries are in BFS discovery order and share long common
-        prefixes, so a path cache (``path[d]`` = the replayed node after
-        ``d`` steps) turns replay into "pop the divergent suffix, step
-        the new one".  The digest comes from the parent (it was computed
-        when this state was discovered as a child), so no canonical key
-        is recomputed for the frontier state itself — only its children
-        get fresh keys.
-
-        Returns per-state results (violation + ``(choice, digest)`` child
-        pairs) plus this chunk's probe hits and stats; stops at the first
-        violating state, mirroring what a serial walk would visit.
-        """
-        states: List[dict] = []
-        path: List[_Node] = []
-        for sched, dhex in entries:
-            prefix = tuple(sched)
-            common = 0
-            limit = min(len(prefix), len(path) - 1) if path else 0
-            while (
-                common < limit
-                and str(path[common + 1].schedule[common]) == prefix[common]
-            ):
-                common += 1
-            if not path:
-                path = [self._root_light()]
-            del path[common + 1:]
-            node = path[common]
-            for p_str in prefix[common:]:
-                try:
-                    proc = self.by_str[p_str]
-                except KeyError:
-                    raise ExploreError(
-                        f"frontier schedule names unknown processor {p_str!r}"
-                    ) from None
-                node = self._step_light(
-                    node, proc, node.executor.successor(proc)
-                )
-                path.append(node)
-            node.digest = bytes.fromhex(dhex)
-            violation = self._visit(node)
-            children = node.children or []
-            node.children = None
-            states.append(
-                {
-                    "violation": None
-                    if violation is None
-                    else violation.to_json(),
-                    "children": [
-                        [str(c.schedule[-1]), c.digest.hex()] for c in children
-                    ],
-                }
-            )
-            if violation is not None:
-                break
-        return {
-            "states": states,
-            "probes": self.probe_hits,
-            "stats": self.stats.to_json(),
-        }
-
 
 # ----------------------------------------------------------------------
-# shards, levels, checkpoints, worker payloads
+# levels, the pool, checkpoints
 # ----------------------------------------------------------------------
 
-#: Frontier states handed to one worker task.  Fixed — independent of
-#: the worker count — so the chunk structure (and with it probe caps and
-#: per-chunk stats) is identical on every pool geometry.
+#: States per pool task.  Fixed — independent of the worker count — and
+#: also the fan-out point: a level runs on the pool only when it holds
+#: more than one chunk.
 _CHUNK = 32
-
-
-def _chunk_spans(count: int) -> List[Tuple[int, int]]:
-    return [(i, min(i + _CHUNK, count)) for i in range(0, count, _CHUNK)]
-
-
-def _explore_shard(
-    spec: ExploreSpec,
-    bundle: ScenarioBundle,
-    keys: _KeyMaker,
-    checks: _Checks,
-    prefix: Tuple[str, ...],
-) -> dict:
-    """Exhaust one whole subtree serially (the ``split == 0`` path:
-    DFS, livelock, restricted walks, and unsplit BFS)."""
-    walker = _Walker(spec, bundle, keys, checks)
-    if spec.strategy == "dfs":
-        walker.run_dfs(prefix)
-    else:
-        walker.run_bfs(prefix)
-    return {
-        "violation": None if walker.violation is None else walker.violation.to_json(),
-        "digests": sorted(d.hex() for d in walker.digests),
-        "probes": walker.probe_hits,
-        "stats": walker.stats.to_json(),
-    }
 
 
 #: Per-worker context: built once by :func:`_pool_init`, reused by every
@@ -1018,99 +939,83 @@ def _pool_init(spec_doc: dict) -> None:
     bundle = build_scenario(spec.scenario)
     keys = _KeyMaker(bundle.system, spec.symmetry)
     checks = _Checks(spec, bundle)
-    _WORKER.update(
-        spec=spec, bundle=bundle, keys=keys, checks=checks, frontier={}
-    )
+    _WORKER.update(spec=spec, bundle=bundle, keys=keys, checks=checks)
 
 
-def _run_level_chunk(shm_name: str, nbytes: int, start: int, end: int) -> dict:
-    """Worker entry point for one frontier chunk.
-
-    The level's whole frontier travels once per worker through a shared
-    memory block (attached and JSON-decoded on first touch, cached under
-    its block name for the level's remaining chunks); the pickled task
-    payload is just ``(block, span)``.
-    """
+def _run_level_chunk(entries: list) -> dict:
+    """Worker entry point: visit one chunk of ``[schedule, digest-hex]``
+    entries; the document lists every child, in order, as an entry
+    (the parent deduplicates)."""
     w = _WORKER
-    cache = w["frontier"]
-    entries = cache.get(shm_name)
-    if entries is None:
-        from multiprocessing import shared_memory
-
-        block = shared_memory.SharedMemory(name=shm_name)
-        try:
-            blob = bytes(block.buf[:nbytes])
-        finally:
-            block.close()
-        cache.clear()  # previous levels' frontiers are dead
-        entries = json.loads(blob.decode("utf-8"))
-        cache[shm_name] = entries
     walker = _Walker(w["spec"], w["bundle"], w["keys"], w["checks"])
-    return walker.expand_chunk(entries[start:end])
+    children = walker.run_level(walker.replay(entries), None)
+    doc = walker.level_doc()
+    doc["frontier"] = [_entry(node) for node in children]
+    return doc
 
 
-def _json_normalize(doc):
-    """A document as JSON round-trips it (tuples to lists, keys to str)."""
-    return json.loads(json.dumps(doc, sort_keys=True))
+def _entry(node: _Node) -> list:
+    """A live node as a ``[schedule, digest-hex]`` frontier entry."""
+    return [list(node.schedule), node.digest.hex()]
 
 
-def _load_checkpoint(
-    path: str, spec: ExploreSpec
-) -> Tuple[Dict[Tuple[str, ...], dict], Dict[int, dict]]:
-    """Completed work recorded in ``path``: whole-subtree shards (keyed
-    by schedule prefix) and finished BFS levels (keyed by depth)."""
-    shards: Dict[Tuple[str, ...], dict] = {}
-    levels: Dict[int, dict] = {}
-    if not os.path.exists(path):
-        return shards, levels
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ExploreError(
-                    f"checkpoint {path}:{line_no} is not valid JSON: {exc}"
-                ) from None
-            if doc.get("kind") == "explore-checkpoint":
-                # Compare in JSON-normalized space: tuple-valued spec
-                # fields (scenario marks, restrict walks) survive as
-                # tuples in memory but round-trip to lists on disk, and a
-                # raw dict compare would falsely reject a valid resume.
-                if _json_normalize(doc["spec"]) != _json_normalize(spec.to_json()):
-                    raise ExploreError(
-                        f"checkpoint {path} records a different exploration "
-                        f"spec; delete it or change the spec"
-                    )
-            elif doc.get("kind") == "shard":
-                shards[tuple(doc["shard"])] = doc["result"]
-            elif doc.get("kind") == "level":
-                levels[int(doc["depth"])] = doc["result"]
-    return shards, levels
+def _popping(nodes: list) -> Iterator:
+    """Iterate ``nodes`` in order, dropping each from the list as it goes."""
+    nodes.reverse()
+    while nodes:
+        yield nodes.pop()
 
 
-class _CheckpointWriter:
-    """Appends completion lines to the checkpoint JSONL file."""
+def _pool_level(
+    pool: ProcessPoolExecutor,
+    entries: list,
+    visited: Optional[Set[bytes]],
+    probe_limit: int,
+) -> dict:
+    """Run one level on the pool; the document carries the next level's
+    entries under ``"frontier"``.
 
-    def __init__(self, path: str, spec: ExploreSpec, fresh: bool) -> None:
-        self._fh = open(path, "a")
-        if fresh:
-            self._write({"kind": "explore-checkpoint", "spec": spec.to_json()})
-
-    def _write(self, doc: dict) -> None:
-        self._fh.write(json.dumps(doc, sort_keys=True) + "\n")
-        self._fh.flush()
-
-    def shard_done(self, prefix: Tuple[str, ...], result: dict) -> None:
-        self._write({"kind": "shard", "shard": list(prefix), "result": result})
-
-    def level_done(self, depth: int, result: dict) -> None:
-        self._write({"kind": "level", "depth": depth, "result": result})
-
-    def close(self) -> None:
-        self._fh.close()
+    Chunks merge in frontier order, so the first violation is the
+    level's ``(depth, prefix)``-least one and later chunks are discarded
+    exactly as the in-process loop would never have visited them.  Each
+    chunk caps its probe hits at ``probe_limit``; concatenating those
+    capped lists in order and capping again keeps the level's first
+    hits, however the level was chunked.
+    """
+    futures = [
+        pool.submit(_run_level_chunk, entries[i:i + _CHUNK])
+        for i in range(0, len(entries), _CHUNK)
+    ]
+    stats = ExploreStats()
+    probes: List[dict] = []
+    violation: Optional[dict] = None
+    expanded: List[str] = []
+    nxt: List[list] = []
+    for future in futures:
+        cdoc = future.result()
+        stats.merge(cdoc["stats"])
+        probes.extend(cdoc["probes"])
+        expanded.extend(cdoc["expanded"])
+        violation = cdoc["violation"]
+        if violation is not None:
+            for rest in futures:
+                rest.cancel()
+            nxt = []
+            break
+        for entry in cdoc["frontier"]:
+            if visited is not None:
+                digest = bytes.fromhex(entry[1])
+                if digest in visited:
+                    continue
+                visited.add(digest)
+            nxt.append(entry)
+    return {
+        "stats": stats.to_json(),
+        "probes": probes[:probe_limit],
+        "violation": violation,
+        "expanded": expanded,
+        "frontier": nxt,
+    }
 
 
 def _emit_progress(hub, shard: str, doc: dict, resumed: bool) -> None:
@@ -1193,11 +1098,12 @@ def _canonical_violation(
     """Normalize a found violation to the global ``(depth, prefix)``-least
     one via a bounded unreduced BFS re-search.
 
-    Symmetry reduction, DFS order, and shard-local dedup can each make
-    the *first found* violation depend on traversal mode; the bounded
-    re-search (depth capped at the found violation's depth, so it always
-    terminates and always finds something at least as shallow) makes the
-    reported counterexample mode-independent.
+    Symmetry reduction and DFS order can each make the *first found*
+    violation depend on traversal mode; the bounded re-search (depth
+    capped at the found violation's depth, so it always terminates and
+    always finds something at least as shallow) makes the reported
+    counterexample mode-independent.  An unreduced BFS finds that
+    violation itself and is never re-searched.
     """
     base = replace(
         spec,
@@ -1207,10 +1113,74 @@ def _canonical_violation(
         check_livelock=False,
         progress=None,
         probes=(),
-        split_depth=0,
     )
     result = run_explore(base, workers=0, extra_invariants=extra_invariants)
     return result.violation if result.violation is not None else violation
+
+
+def _run_levels(
+    spec: ExploreSpec,
+    new_walker: Callable[[], _Walker],
+    workers: int,
+    completed: Dict[int, dict],
+    writer: Optional[CheckpointWriter],
+    hub,
+    account: Callable[[dict], None],
+) -> Tuple[int, int, bool]:
+    """The BFS loop: finish each level before starting the next.
+
+    A level runs on the pool when ``workers > 1`` and it holds more than
+    one chunk, and in-process otherwise: over live nodes when the
+    previous level ran in-process too, else over replayed entries.
+    Levels recorded in ``completed`` are not re-run.  Each level's
+    document goes to ``account``, the checkpoint and the hub as it
+    finishes.  Returns ``(levels, resumed levels, pool used)``.
+    """
+    dedup = spec.restrict is None
+    root = new_walker()._root_node()
+    visited: Optional[Set[bytes]] = {root.digest} if dedup else None
+    frontier: list = [root]  # live nodes, or [schedule, digest-hex] entries
+    live = True
+    pool: Optional[ProcessPoolExecutor] = None
+    levels = resumed = 0
+    try:
+        while frontier:
+            depth = levels
+            levels += 1
+            if depth in completed:
+                resumed += 1
+                doc = completed[depth]
+                frontier, live = doc["frontier"], False
+                if dedup:
+                    visited.update(bytes.fromhex(d) for _s, d in frontier)
+            elif workers > 1 and len(frontier) > _CHUNK:
+                if live:
+                    frontier = [_entry(node) for node in _popping(frontier)]
+                if pool is None:
+                    pool = ProcessPoolExecutor(
+                        max_workers=workers,
+                        initializer=_pool_init,
+                        initargs=(spec.to_json(),),
+                    )
+                doc = _pool_level(pool, frontier, visited, spec.probe_limit)
+                frontier, live = doc["frontier"], False
+            else:
+                walker = new_walker()
+                nodes = _popping(frontier) if live else walker.replay(frontier)
+                frontier, live = walker.run_level(nodes, visited), True
+                doc = walker.level_doc()
+                if writer:
+                    doc["frontier"] = [_entry(node) for node in frontier]
+            if writer and depth not in completed:
+                writer.write({"kind": "level", "depth": depth, "result": doc})
+            _emit_progress(hub, f"depth-{depth}", doc, resumed=depth in completed)
+            account(doc)
+            if doc["violation"] is not None:
+                break
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    return levels, resumed, pool is not None
 
 
 def run_explore(
@@ -1227,17 +1197,19 @@ def run_explore(
     Args:
         spec: the exploration specification.
         workers: process-pool size.  ``None`` picks ``min(4, cpu_count)``;
-            ``0``/``1`` forces the serial in-process path.  Verdict and
-            counterexample are identical on every worker count.
-        checkpoint: optional JSONL path; completed shards are appended as
-            they finish and are not re-run on resume (same spec only).
+            ``0``/``1`` runs every level in-process.  BFS levels of more
+            than one chunk go to the pool; verdict and counterexample
+            are identical on every worker count.
+        checkpoint: optional JSONL path; finished BFS levels (or the
+            whole DFS tree) are appended as they finish and are not
+            re-run on resume (same spec only).
         hub: optional :class:`~repro.obs.events.EventHub` receiving
-            ``ExplorationProgress`` per shard and ``InvariantViolated``
-            for the merged verdict.
+            ``ExplorationProgress`` per level and ``InvariantViolated``
+            for the verdict.
         extra_invariants / extra_probes: live ``(executor, counts) ->
             Optional[str]`` callables checked alongside the registered
             names.  They cannot cross the process-pool pickle boundary,
-            so they force the serial path; an invariant may opt into
+            so they need ``workers<=1``; an invariant may opt into
             per-processor step counts with a truthy ``needs_counts``
             attribute.
         store: optional persistent store — a
@@ -1247,9 +1219,8 @@ def run_explore(
             freshly computed identity→canonical pairs are persisted back,
             so repeated explorations of the same system skip the
             minimal-image searches entirely.  Pool workers keep their own
-            in-process memos and do not consult the store (the parent's
-            trunk plus merge already carries the bulk of repeat traffic);
-            the verdict never depends on the store.
+            in-process memos and do not consult the store; the verdict
+            never depends on the store.
 
     Returns:
         An :class:`ExploreResult`; its :meth:`~ExploreResult.report_doc`
@@ -1284,197 +1255,61 @@ def run_explore(
         if spec.symmetry:
             _load_orbit_memo(store, bundle.system, keys)
 
-    # Level-synchronous fan-out needs BFS; DFS order, livelock cycles
-    # and restricted single-schedule walks are whole-tree properties.
-    if spec.restrict is not None or spec.check_livelock or spec.strategy == "dfs":
-        split = 0
-    else:
-        split = min(spec.split_depth, spec.max_depth)
-
-    completed_shards: Dict[Tuple[str, ...], dict] = {}
-    completed_levels: Dict[int, dict] = {}
-    writer: Optional[_CheckpointWriter] = None
+    lines: List[dict] = []
+    writer: Optional[CheckpointWriter] = None
     if checkpoint:
-        completed_shards, completed_levels = _load_checkpoint(checkpoint, spec)
-        writer = _CheckpointWriter(
-            checkpoint, spec, fresh=not (completed_shards or completed_levels)
+        lines = load_checkpoint(
+            checkpoint, "explore-checkpoint", spec.to_json(), ExploreError,
+            "exploration",
+        )
+        writer = CheckpointWriter(
+            checkpoint, "explore-checkpoint", spec.to_json(), fresh=not lines
         )
 
     stats = ExploreStats()
     digests: Set[str] = set()
     hits: List[dict] = []
     violation: Optional[Violation] = None
-    resumed = 0
-    shards = 0
+
+    def account(doc: dict) -> None:
+        nonlocal violation
+        stats.merge(doc["stats"])
+        digests.update(doc["expanded"])
+        hits.extend(doc["probes"])
+        if doc["violation"] is not None:
+            violation = Violation.from_json(doc["violation"])
+
+    def new_walker() -> _Walker:
+        return _Walker(spec, bundle, keys, checks)
 
     try:
-        if split == 0:
-            workers = 0
-            shards = 1
-            if () in completed_shards:
-                doc = completed_shards[()]
-                resumed = 1
-                _emit_progress(hub, "root", doc, resumed=True)
-            else:
-                doc = _explore_shard(spec, bundle, keys, checks, ())
-                if writer:
-                    writer.shard_done((), doc)
-                _emit_progress(hub, "root", doc, resumed=False)
-            stats.merge(doc["stats"])
-            digests.update(doc["digests"])
-            hits.extend(doc["probes"])
-            if doc["violation"] is not None:
-                violation = Violation.from_json(doc["violation"])
-        else:
-            # Serial trunk to the split depth; its violation (if any) is
-            # strictly shallower than anything a level could report.
-            trunk = _Walker(spec, bundle, keys, checks)
-            frontier = trunk.run_bfs((), collect_at=split)
-            stats.merge(trunk.stats.to_json())
-            digests.update(d.hex() for d in trunk.digests)
-            hits.extend(trunk.probe_hits)
-            _emit_progress(
-                hub,
-                "trunk",
-                {
-                    "violation": None
-                    if trunk.violation is None
-                    else trunk.violation.to_json(),
-                    "stats": trunk.stats.to_json(),
-                },
-                resumed=False,
+        if spec.strategy == "dfs":
+            # DFS order and livelock cycles are whole-tree properties:
+            # one in-process walk, checkpointed as one unit.
+            workers, shards = 0, 1
+            tree = next(
+                (doc["result"] for doc in lines if doc.get("kind") == "tree"),
+                None,
             )
-            if trunk.violation is not None:
-                violation = trunk.violation
-                frontier = []
-            shards = len(frontier)
-            # The parent owns deduplication: every digest ever admitted
-            # to a frontier lands here, so each state is expanded by
-            # exactly one chunk exactly once — parallel total work
-            # equals serial total work.
-            visited: Set[bytes] = set(trunk.seen_digests)
-
-            smm = None
-            pool = None
-            if workers and frontier and not all(
-                split + i in completed_levels
-                for i in range(spec.max_depth - split + 1)
-            ):
-                from multiprocessing.managers import SharedMemoryManager
-
-                smm = SharedMemoryManager()
-                smm.start()
-                pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_pool_init,
-                    initargs=(spec.to_json(),),
-                )
-            else:
-                workers = 0
-            try:
-                depth = split
-                while frontier and violation is None:
-                    if depth in completed_levels:
-                        doc = completed_levels[depth]
-                        resumed += 1
-                        _emit_progress(hub, f"depth-{depth}", doc, resumed=True)
-                    else:
-                        chunks = _chunk_spans(len(frontier))
-                        frontier_doc = [
-                            [list(sched), digest.hex()]
-                            for sched, digest in frontier
-                        ]
-                        if pool is None:
-                            chunk_docs = []
-                            for s, e in chunks:
-                                walker = _Walker(spec, bundle, keys, checks)
-                                cdoc = walker.expand_chunk(frontier_doc[s:e])
-                                chunk_docs.append(cdoc)
-                                if any(
-                                    x["violation"] is not None
-                                    for x in cdoc["states"]
-                                ):
-                                    break
-                        else:
-                            # Publish the frontier once per level; tasks
-                            # carry only (block, span).
-                            blob = json.dumps(frontier_doc).encode("utf-8")
-                            block = smm.SharedMemory(size=len(blob))
-                            block.buf[: len(blob)] = blob
-                            chunk_docs = [
-                                f.result()
-                                for f in [
-                                    pool.submit(
-                                        _run_level_chunk,
-                                        block.name,
-                                        len(blob),
-                                        s,
-                                        e,
-                                    )
-                                    for s, e in chunks
-                                ]
-                            ]
-                        # Merge chunks in frontier order; the first
-                        # violation is the (depth, prefix)-least of the
-                        # level, and later chunks are discarded exactly
-                        # as a serial walk would never have run them.
-                        lstats = ExploreStats()
-                        lprobes: List[dict] = []
-                        lviolation: Optional[dict] = None
-                        expanded: List[str] = []
-                        children: List[Tuple[Tuple[str, ...], str]] = []
-                        for (s, _e), cdoc in zip(chunks, chunk_docs):
-                            lstats.merge(cdoc["stats"])
-                            lprobes.extend(cdoc["probes"])
-                            for offset, sdoc in enumerate(cdoc["states"]):
-                                sched, digest = frontier[s + offset]
-                                expanded.append(digest.hex())
-                                if sdoc["violation"] is not None:
-                                    lviolation = sdoc["violation"]
-                                    break
-                                for p_str, chex in sdoc["children"]:
-                                    children.append((sched + (p_str,), chex))
-                            if lviolation is not None:
-                                break
-                        nxt: List[List] = []
-                        if lviolation is None:
-                            for sched, chex in children:
-                                child_digest = bytes.fromhex(chex)
-                                if child_digest in visited:
-                                    continue
-                                visited.add(child_digest)
-                                nxt.append([list(sched), chex])
-                        doc = {
-                            "stats": lstats.to_json(),
-                            "probes": lprobes,
-                            "violation": lviolation,
-                            "expanded": expanded,
-                            "frontier": nxt,
-                        }
-                        if writer:
-                            writer.level_done(depth, doc)
-                        _emit_progress(
-                            hub, f"depth-{depth}", doc, resumed=False
-                        )
-                    stats.merge(doc["stats"])
-                    digests.update(doc["expanded"])
-                    hits.extend(doc["probes"])
-                    if doc["violation"] is not None:
-                        violation = Violation.from_json(doc["violation"])
-                        break
-                    frontier = [
-                        (tuple(sched), bytes.fromhex(dhex))
-                        for sched, dhex in doc["frontier"]
-                    ]
-                    # No-op on a fresh level (dedup already updated it);
-                    # rebuilds the set when replaying checkpointed ones.
-                    visited.update(d for _, d in frontier)
-                    depth += 1
-            finally:
-                if pool is not None:
-                    pool.shutdown()
-                if smm is not None:
-                    smm.shutdown()
+            resumed = int(tree is not None)
+            if tree is None:
+                walker = new_walker()
+                walker.run_dfs()
+                tree = walker.level_doc()
+                if writer:
+                    writer.write({"kind": "tree", "result": tree})
+            _emit_progress(hub, "root", tree, resumed=bool(resumed))
+            account(tree)
+        else:
+            completed = {
+                int(doc["depth"]): doc["result"]
+                for doc in lines
+                if doc.get("kind") == "level"
+            }
+            shards, resumed, pooled = _run_levels(
+                spec, new_walker, workers, completed, writer, hub, account
+            )
+            workers = workers if pooled else 0
     finally:
         if writer:
             writer.close()
@@ -1497,7 +1332,7 @@ def run_explore(
         violation is not None
         and spec.restrict is None
         and violation.kind != "livelock"
-        and (spec.symmetry or spec.strategy == "dfs" or split > 0)
+        and (spec.symmetry or spec.strategy == "dfs")
     ):
         violation = _canonical_violation(spec, violation, extra_invariants)
 
@@ -1525,7 +1360,6 @@ def run_explore(
         workers=workers,
         elapsed=time.perf_counter() - t0,
         group_size=keys.group_size,
-        truncated=keys.truncated,
         state_digests=tuple(sorted(digests)),
     )
 
@@ -1636,18 +1470,18 @@ def _verify_livelock(spec: ExploreSpec, violation: Violation) -> Optional[str]:
     keys = _KeyMaker(bundle.system, spec.symmetry)
     checks = _Checks(spec, bundle)
     walker = _Walker(spec, bundle, keys, checks)
-    node = walker._root_node(())
-    keys = [node.key]
+    node = walker._root_node()
+    digests = [node.digest]
     flags = [checks.progress(node.executor) if checks.progress else False]
     for p_str in violation.schedule:
         proc = walker.by_str.get(p_str)
         if proc is None:
             return f"schedule names unknown processor {p_str!r}"
         node = walker._child(node, proc, node.executor.successor(proc))
-        keys.append(node.key)
+        digests.append(node.digest)
         flags.append(checks.progress(node.executor) if checks.progress else False)
-    start = keys.index(keys[-1])
-    if start == len(keys) - 1:
+    start = digests.index(digests[-1])
+    if start == len(digests) - 1:
         return "the schedule closes no cycle: its final state is new"
     if any(flags[start:-1]):
         return "the looped segment makes progress; not a livelock"
@@ -1679,7 +1513,6 @@ def verify_counterexample(header: Dict[str, Any]) -> Optional[str]:
         check_livelock=False,
         progress=None,
         probes=(),
-        split_depth=0,
     )
     result = run_explore(check, workers=0)
     got = result.violation

@@ -22,10 +22,11 @@ job with the same observable behavior:
   formatting — and confirms membership with the exact
   :func:`are_isomorphic` matcher before reusing a decision; hits and
   misses are counted per lookup.  Pool workers build their cache *once*
-  (a pool initializer seeds it from one shared-memory snapshot of the
-  parent's cache) and keep it across every shard they pick up; each
-  finished shard returns only its journal of *new* decisions, which the
-  parent folds in and checkpoints — no per-wave snapshot/merge barriers.
+  (the pool initializer seeds it from a snapshot of the parent's cache,
+  passed as a plain initializer argument) and keep it across every
+  shard they pick up; each finished shard returns only its journal of
+  *new* decisions, which the parent folds in and checkpoints — no
+  per-wave snapshot/merge barriers.
 * **Sharded dedup** -- the single unbounded ``seen`` dict of the serial
   loop is replaced by a hash-partitioned :class:`DedupIndex` whose
   partitions are dropped with their shard, plus a final cross-shard
@@ -55,17 +56,18 @@ import os
 import time
 import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.encoding import encode_value
+from ..core.encoding import encode_value, form_from_wire, form_to_wire
 from ..core.hierarchy import MODEL_AXIS
 from ..core.network import Network
 from ..core.quotient import are_isomorphic, canonical_form
 from ..core.selection import decide_selection
 from ..core.system import InstructionSet, ScheduleClass, System
 from ..exceptions import WitnessSearchError
+from .checkpoint import CheckpointWriter, load_checkpoint
 
 _MODEL_BY_NAME = {label: (iset, sched) for label, iset, sched in MODEL_AXIS}
 
@@ -172,6 +174,17 @@ class SweepSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SweepSpec":
+        if not isinstance(doc, dict):
+            raise WitnessSearchError("a sweep spec must be a JSON object")
+        known = {f.name for f in fields(cls)}
+        for key in doc:
+            if key not in known:
+                raise WitnessSearchError(
+                    f"unknown sweep spec key {key!r}; pick from {sorted(known)}"
+                )
+        for key in ("weaker", "stronger"):
+            if key not in doc:
+                raise WitnessSearchError(f"sweep spec needs {key!r}")
         return cls(**doc)
 
 
@@ -187,43 +200,6 @@ def _candidate_form(probe: System) -> bytes:
     return encode_value(canonical_form(probe))
 
 
-def _form_to_wire(form) -> str:
-    """Checkpoint/JSON representation of a form key.
-
-    Byte keys are tagged explicitly (``"b:" + hex``) so the inverse
-    never has to guess: an untagged wire string is, by construction, a
-    legacy key from an older checkpoint.
-    """
-    return "b:" + form.hex() if isinstance(form, bytes) else str(form)
-
-
-def _form_from_wire(wire: str):
-    """Inverse of :func:`_form_to_wire`, tolerating both legacy shapes.
-
-    * ``"b:<hex>"`` — the current tagged encoding of a byte key.
-    * bare even-length hex — checkpoints from the first byte-encoded
-      release, which wrote ``form.hex()`` untagged; decoded to bytes.
-    * anything else — a pre-encoding ``repr``-string form, kept verbatim
-      as its own bucket key.  Such entries never match new lookups,
-      costing a cache miss, not correctness.
-
-    The explicit tag is what makes this safe: without it, a repr-string
-    key that *happened* to be even-length hex would be silently decoded
-    into a bogus byte bucket and could never round-trip.
-    """
-    if wire.startswith("b:"):
-        try:
-            return bytes.fromhex(wire[2:])
-        except ValueError:
-            raise WitnessSearchError(
-                f"malformed byte-form key {wire!r} (not hex after 'b:')"
-            ) from None
-    try:
-        return bytes.fromhex(wire)
-    except ValueError:
-        return wire
-
-
 class _CacheEntry:
     """One isomorphism class: a representative record plus its decisions."""
 
@@ -231,7 +207,7 @@ class _CacheEntry:
 
     def __init__(
         self,
-        form,
+        form: bytes,
         record: WitnessRecord,
         decisions: Optional[Dict[str, bool]] = None,
     ) -> None:
@@ -284,8 +260,8 @@ class DecisionCache:
     """
 
     def __init__(self, store=None) -> None:
-        self._buckets: Dict[object, List[_CacheEntry]] = {}
-        self._journal: List[Tuple[object, WitnessRecord, str, bool]] = []
+        self._buckets: Dict[bytes, List[_CacheEntry]] = {}
+        self._journal: List[Tuple[bytes, WitnessRecord, str, bool]] = []
         self.hits = 0
         self.misses = 0
         self.store_hits = 0
@@ -326,13 +302,9 @@ class DecisionCache:
             )
         }
 
-    def _load_through(self, form) -> None:
+    def _load_through(self, form: bytes) -> None:
         """First-touch load of a form's persisted bucket, if any."""
-        if (
-            self._store is None
-            or not isinstance(form, bytes)
-            or form in self._store_seen
-        ):
+        if self._store is None or form in self._store_seen:
             return
         self._store_seen.add(form)
         from ..store import NS_DECISIONS
@@ -342,7 +314,7 @@ class DecisionCache:
             self.store_misses += 1
             return
         self.store_hits += 1
-        wire = _form_to_wire(form)
+        wire = form_to_wire(form)
         self.merge(
             [
                 (wire, record_doc, decisions)
@@ -350,8 +322,8 @@ class DecisionCache:
             ]
         )
 
-    def _write_behind(self, form) -> None:
-        if self._store is None or not isinstance(form, bytes):
+    def _write_behind(self, form: bytes) -> None:
+        if self._store is None:
             return
         from ..store import NS_DECISIONS
 
@@ -405,7 +377,7 @@ class DecisionCache:
         """Every decided entry, in wire form, sorted for determinism."""
         return sorted(
             (
-                (_form_to_wire(form), entry.record.to_json(), dict(entry.decisions))
+                (form_to_wire(form), entry.record.to_json(), dict(entry.decisions))
                 for form, bucket in self._buckets.items()
                 for entry in bucket
                 if entry.decisions
@@ -418,7 +390,7 @@ class DecisionCache:
         entry per (form, record), labels folded together)."""
         delta: Dict[Tuple[str, WitnessRecord], Dict[str, bool]] = {}
         for form, record, label, possible in self._journal:
-            delta.setdefault((_form_to_wire(form), record), {})[label] = possible
+            delta.setdefault((form_to_wire(form), record), {})[label] = possible
         self._journal.clear()
         return [
             (wire, record.to_json(), decisions)
@@ -430,9 +402,13 @@ class DecisionCache:
         produced: replicated decisions are not news to replicate again).
         Entries are matched by exact record equality (cheap); a
         same-class different-representative entry just coexists in the
-        bucket and still iso-matches on lookup."""
+        bucket and still iso-matches on lookup.  A form key in any shape
+        but ``"b:" + hex`` is a :class:`WitnessSearchError`."""
         for wire, record_doc, decisions in snapshot:
-            form = _form_from_wire(wire)
+            try:
+                form = form_from_wire(wire)
+            except ValueError as exc:
+                raise WitnessSearchError(f"malformed cache entry: {exc}") from None
             record = WitnessRecord.from_json(record_doc)
             bucket = self._buckets.setdefault(form, [])
             for entry in bucket:
@@ -604,32 +580,19 @@ def _sweep_shard(
 _WORKER: Dict[str, object] = {}
 
 
-def _pool_init(
-    spec_doc: dict,
-    shm_name: Optional[str],
-    nbytes: int,
-    store_root: Optional[str] = None,
-) -> None:
+def _pool_init(spec_doc: dict, seed: list, store_root: Optional[str]) -> None:
     """Pool-worker initializer: build the spec once and seed the
-    persistent cache from the parent's snapshot, published through one
-    shared-memory block instead of pickled per task.  With a store root,
-    each worker opens its own handle on the shared on-disk store, so
-    decisions persisted by any earlier run load through."""
+    persistent cache from the parent's snapshot (sent once per worker,
+    not per task).  With a store root, each worker opens its own handle
+    on the shared on-disk store, so decisions persisted by any earlier
+    run load through."""
     spec = SweepSpec.from_json(spec_doc)
     cache = DecisionCache()
     if store_root is not None:
         from ..store import ContentStore
 
         cache.attach_store(ContentStore(store_root))
-    if shm_name is not None and nbytes:
-        from multiprocessing import shared_memory
-
-        block = shared_memory.SharedMemory(name=shm_name)
-        try:
-            blob = bytes(block.buf[:nbytes])
-        finally:
-            block.close()
-        cache.merge(json.loads(blob.decode("utf-8")))
+    cache.merge(seed)
     _WORKER.update(spec=spec, cache=cache)
 
 
@@ -655,11 +618,6 @@ def _run_shard_task(shard_doc) -> tuple:
 # ----------------------------------------------------------------------
 
 
-def _json_normalize(doc):
-    """A document as JSON round-trips it (tuples to lists, keys to str)."""
-    return json.loads(json.dumps(doc, sort_keys=True))
-
-
 def _shard_doc(shard: ShardKey) -> list:
     return [shard[0], shard[1], list(shard[2])]
 
@@ -672,71 +630,31 @@ def _load_checkpoint(
     path: str, spec: SweepSpec
 ) -> Dict[ShardKey, Tuple[List[WitnessRecord], ShardStats, list]]:
     """Completed shards recorded in ``path`` (empty if the file is new)."""
-    completed: Dict[ShardKey, Tuple[List[WitnessRecord], ShardStats, list]] = {}
-    if not os.path.exists(path):
-        return completed
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise WitnessSearchError(
-                    f"checkpoint {path}:{line_no} is not valid JSON: {exc}"
-                ) from None
-            if doc.get("kind") == "witness-sweep":
-                # Normalize both sides through a JSON round-trip before
-                # comparing: the on-disk spec is pure JSON (tuples became
-                # lists), while the in-memory ``to_json()`` may still
-                # carry tuple-valued fields — comparing raw dicts would
-                # falsely reject a valid resume.
-                if _json_normalize(doc["spec"]) != _json_normalize(spec.to_json()):
-                    raise WitnessSearchError(
-                        f"checkpoint {path} records a different sweep spec "
-                        f"({doc['spec']!r}); delete it or change the spec"
-                    )
-            elif doc.get("kind") == "shard":
-                completed[_shard_from_doc(doc["shard"])] = (
-                    [WitnessRecord.from_json(r) for r in doc["records"]],
-                    ShardStats.from_json(doc["counters"]),
-                    [tuple(e) for e in doc.get("cache", [])],
-                )
-    return completed
-
-
-class _CheckpointWriter:
-    """Appends shard-completion lines to the checkpoint JSONL file."""
-
-    def __init__(self, path: str, spec: SweepSpec, fresh: bool) -> None:
-        self._fh = open(path, "a")
-        if fresh:
-            self._write({"kind": "witness-sweep", "spec": spec.to_json()})
-
-    def _write(self, doc: dict) -> None:
-        self._fh.write(json.dumps(doc, sort_keys=True) + "\n")
-        self._fh.flush()
-
-    def shard_done(
-        self,
-        shard: ShardKey,
-        records: List[WitnessRecord],
-        stats: ShardStats,
-        cache_delta: list,
-    ) -> None:
-        self._write(
-            {
-                "kind": "shard",
-                "shard": _shard_doc(shard),
-                "records": [r.to_json() for r in records],
-                "counters": stats.to_json(),
-                "cache": [list(e) for e in cache_delta],
-            }
+    lines = load_checkpoint(
+        path, "witness-sweep", spec.to_json(), WitnessSearchError, "sweep"
+    )
+    return {
+        _shard_from_doc(doc["shard"]): (
+            [WitnessRecord.from_json(r) for r in doc["records"]],
+            ShardStats.from_json(doc["counters"]),
+            [tuple(e) for e in doc.get("cache", [])],
         )
+        for doc in lines
+        if doc.get("kind") == "shard"
+    }
 
-    def close(self) -> None:
-        self._fh.close()
+
+def _shard_line(
+    shard: ShardKey, records: List[WitnessRecord], stats: ShardStats, cache_delta: list
+) -> dict:
+    """The checkpoint line of one finished shard."""
+    return {
+        "kind": "shard",
+        "shard": _shard_doc(shard),
+        "records": [r.to_json() for r in records],
+        "counters": stats.to_json(),
+        "cache": [list(e) for e in cache_delta],
+    }
 
 
 # ----------------------------------------------------------------------
@@ -859,12 +777,14 @@ def run_sweep(
     t0 = time.perf_counter()
     plan = shard_plan(spec)
     completed: Dict[ShardKey, Tuple[List[WitnessRecord], ShardStats, list]] = {}
-    writer: Optional[_CheckpointWriter] = None
+    writer: Optional[CheckpointWriter] = None
     if checkpoint:
         completed = _load_checkpoint(checkpoint, spec)
         for _records, _stats, cache_delta in completed.values():
             cache.merge(cache_delta)
-        writer = _CheckpointWriter(checkpoint, spec, fresh=not completed)
+        writer = CheckpointWriter(
+            checkpoint, "witness-sweep", spec.to_json(), fresh=not completed
+        )
 
     total = ShardStats()
     per_shard: Dict[ShardKey, List[WitnessRecord]] = {}
@@ -891,7 +811,7 @@ def run_sweep(
                 found, stats = _sweep_shard(spec, shard, cache)
                 account(shard, found, stats)
                 if writer:
-                    writer.shard_done(shard, found, stats, cache.drain_journal())
+                    writer.write(_shard_line(shard, found, stats, cache.drain_journal()))
                 _emit_progress(hub, shard, stats, resumed=False)
                 if spec.limit is not None:
                     merged_so_far = _merge_results(
@@ -901,41 +821,32 @@ def run_sweep(
                         break
         else:
             # Submit every shard at once: workers keep one persistent
-            # cache each (seeded from the parent's via shared memory),
-            # so there is no wave barrier to re-synchronize snapshots at
-            # — the parent just folds each shard's decision journal in
-            # as it completes.
-            from multiprocessing.managers import SharedMemoryManager
-
-            with SharedMemoryManager() as smm:
-                seed = json.dumps(cache.snapshot()).encode("utf-8")
-                shm_name: Optional[str] = None
-                if seed and seed != b"[]":
-                    block = smm.SharedMemory(size=len(seed))
-                    block.buf[: len(seed)] = seed
-                    shm_name = block.name
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_pool_init,
-                    initargs=(spec.to_json(), shm_name, len(seed), store_root),
-                ) as pool:
-                    futures = {
-                        pool.submit(_run_shard_task, _shard_doc(shard)): shard
-                        for shard in todo
-                    }
-                    not_done = set(futures)
-                    while not_done:
-                        done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                        for future in done:
-                            shard = futures[future]
-                            _doc, record_docs, stats_doc, delta = future.result()
-                            records = [WitnessRecord.from_json(r) for r in record_docs]
-                            stats = ShardStats.from_json(stats_doc)
-                            cache.merge(delta)
-                            account(shard, records, stats)
-                            if writer:
-                                writer.shard_done(shard, records, stats, delta)
-                            _emit_progress(hub, shard, stats, resumed=False)
+            # cache each (seeded once from the parent's snapshot), so
+            # there is no wave barrier to re-synchronize snapshots at —
+            # the parent just folds each shard's decision journal in as
+            # it completes.
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_pool_init,
+                initargs=(spec.to_json(), cache.snapshot(), store_root),
+            ) as pool:
+                futures = {
+                    pool.submit(_run_shard_task, _shard_doc(shard)): shard
+                    for shard in todo
+                }
+                not_done = set(futures)
+                while not_done:
+                    done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        shard = futures[future]
+                        _doc, record_docs, stats_doc, delta = future.result()
+                        records = [WitnessRecord.from_json(r) for r in record_docs]
+                        stats = ShardStats.from_json(stats_doc)
+                        cache.merge(delta)
+                        account(shard, records, stats)
+                        if writer:
+                            writer.write(_shard_line(shard, records, stats, delta))
+                        _emit_progress(hub, shard, stats, resumed=False)
     finally:
         if writer:
             writer.close()

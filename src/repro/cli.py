@@ -557,7 +557,6 @@ def cmd_explore(args) -> int:
             check_deadlock=not args.no_deadlock,
             check_livelock=args.livelock,
             progress=args.progress,
-            split_depth=args.split_depth,
         )
     except (ExploreError, ScenarioError) as exc:
         raise SystemExit(str(exc))
@@ -1083,8 +1082,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress", choices=["eating", "selected"], default=None,
         help="progress criterion for the livelock check",
     )
-    explore.add_argument("--split-depth", type=int, default=2,
-                         help="BFS depth at which the frontier is sharded")
     explore.add_argument("--model", choices=["S", "Q", "L", "L2"], default="Q")
     explore.add_argument(
         "--program", choices=["random", "idle", "left-first", "both-forks"],
@@ -1109,7 +1106,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--checkpoint", metavar="PATH",
                          help="JSONL checkpoint; an existing file resumes the run")
     explore.add_argument("--events", metavar="PATH",
-                         help="write per-shard progress / violation events as JSONL")
+                         help="write per-level progress / violation events as JSONL")
     explore.add_argument("--output", "-o", metavar="PATH",
                          help="write the deterministic exploration report as JSON")
     explore.add_argument(

@@ -23,8 +23,8 @@ This module replaces all of that with one primitive:
   machine-size ints, shortlex for strings/tuples), so canonical-form
   selection no longer depends on how ``repr`` happens to spell a value;
 * **cheap** -- hashing and equality on interned ``bytes`` beats
-  deep-tuple hashing, and the encodings are what shared-memory buffers
-  and digests consume directly.
+  deep-tuple hashing, and the encodings are what digests and
+  checkpoints consume directly.
 
 :class:`StateEncoder` specializes the primitive to the executor's
 *exploration states* (:meth:`repro.runtime.executor.Executor
@@ -159,6 +159,23 @@ def fingerprint(value: Hashable, digest_size: int = 16) -> str:
     regardless of ``PYTHONHASHSEED`` or process boundaries.
     """
     return blake2b(encode_value(value), digest_size=digest_size).hexdigest()
+
+
+def form_to_wire(form: bytes) -> str:
+    """The JSON spelling of a byte-encoded canonical form: ``"b:" + hex``
+    (witness-sweep checkpoints, cache snapshots, witness records)."""
+    return "b:" + form.hex()
+
+
+def form_from_wire(wire: object) -> bytes:
+    """Inverse of :func:`form_to_wire`; ``ValueError`` for any other
+    shape (untagged hex, ``repr`` strings, odd-length or non-hex data)."""
+    if not isinstance(wire, str) or not wire.startswith("b:"):
+        raise ValueError(f"form key {wire!r} is not 'b:' + hex")
+    try:
+        return bytes.fromhex(wire[2:])
+    except ValueError:
+        raise ValueError(f"form key {wire!r} is not hex after 'b:'") from None
 
 
 class ValueInterner:

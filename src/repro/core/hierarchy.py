@@ -202,35 +202,15 @@ def _encoded_form(network: Network, state) -> bytes:
     return encode_value(canonical_form(system))
 
 
-def _legacy_form_repr(network: Network, state) -> str:
-    from .quotient import canonical_form
+def _form_matches(recorded: object, network: Network, state) -> bool:
+    """Does a recorded ``"b:" + hex`` canonical-form key match this
+    network+state?  Any other shape matches nothing."""
+    from .encoding import form_from_wire
 
-    system = System(network, state, InstructionSet.Q, ScheduleClass.FAIR)
-    return repr(canonical_form(system))
-
-
-def _form_matches(recorded: str, network: Network, state) -> bool:
-    """Does a recorded canonical-form key match this network+state?
-
-    Three generations of keys are accepted (the same fallback ladder as
-    the witness engine's wire format): ``"b:" + hex`` tagged byte
-    encodings (current), bare even-length hex (the first byte-encoded
-    release), and legacy ``repr`` strings (anything else).
-    """
-    if recorded.startswith("b:"):
-        try:
-            key = bytes.fromhex(recorded[2:])
-        except ValueError:
-            return False
-        return key == _encoded_form(network, state)
-    if len(recorded) % 2 == 0 and recorded:
-        try:
-            key = bytes.fromhex(recorded)
-        except ValueError:
-            key = None
-        if key is not None:
-            return key == _encoded_form(network, state)
-    return recorded == _legacy_form_repr(network, state)
+    try:
+        return form_from_wire(recorded) == _encoded_form(network, state)
+    except ValueError:
+        return False
 
 
 def separation_witness_to_json(
@@ -254,7 +234,9 @@ def separation_witness_to_json(
         },
     }
     if network is not None:
-        doc["form"] = "b:" + _encoded_form(network, state).hex()
+        from .encoding import form_to_wire
+
+        doc["form"] = form_to_wire(_encoded_form(network, state))
     return doc
 
 
@@ -267,8 +249,8 @@ def separation_witness_from_json(
 
     Without a system, the recorded decisions are trusted (marked with
     reason ``"recorded"``).  With one, selection is re-decided under
-    every model and the record's decisions *and* canonical-form key --
-    current, bare-hex, or legacy ``repr`` -- must match, else
+    every model and the record's decisions *and* its ``"b:" + hex``
+    canonical-form key must match, else
     :class:`repro.exceptions.WitnessRecordError`.
     """
     try:
@@ -295,7 +277,7 @@ def separation_witness_from_json(
         )
 
     form_key = doc.get("form")
-    if form_key is not None and not _form_matches(str(form_key), network, state):
+    if form_key is not None and not _form_matches(form_key, network, state):
         raise WitnessRecordError(
             "separation witness record does not describe this system: "
             "canonical-form key mismatch"

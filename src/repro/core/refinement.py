@@ -690,7 +690,7 @@ def _worklist_reference(
 # public entry point
 # ----------------------------------------------------------------------
 
-_ENGINES = {
+ENGINES = {
     "literal": algorithm1_literal,
     "signatures": algorithm1_signatures,
     "worklist": algorithm1_worklist,
@@ -728,7 +728,7 @@ def compute_similarity_labeling(
     if model is None:
         model = EnvironmentModel.for_instruction_set(system.instruction_set)
     try:
-        fn = _ENGINES[engine]
+        fn = ENGINES[engine]
     except KeyError:
-        raise ValueError(f"unknown engine {engine!r}; pick from {sorted(_ENGINES)}")
+        raise ValueError(f"unknown engine {engine!r}; pick from {sorted(ENGINES)}")
     return fn(system, model, include_state, use_incidence_cache, sink=sink)

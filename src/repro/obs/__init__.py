@@ -52,7 +52,6 @@ _LAZY = {
     "TraceWriter": "trace_io",
     "config_digest": "trace_io",
     "digest_matches": "trace_io",
-    "legacy_digest": "trace_io",
     "load_trace": "trace_io",
     "node_digests": "trace_io",
     "stable_digest": "trace_io",

@@ -340,17 +340,18 @@ class WitnessFound(Event):
 
 @dataclass(frozen=True)
 class ExplorationProgress(Event):
-    """One shard of a bounded schedule-space exploration completed.
+    """One unit of a bounded schedule-space exploration completed: a BFS
+    level, or the whole tree of a DFS walk.
 
     Attributes:
-        shard: the shard's root schedule prefix, joined with ``,`` (the
-            trunk shard is ``""``).
-        visited: states the shard checked (discovered and verified).
+        shard: ``"depth-<d>"`` for BFS level ``d``, ``"root"`` for a DFS
+            walk.
+        visited: states the unit checked (discovered and verified).
         expanded: states whose successor set was enumerated.
         transitions: successor executions performed.
-        violation: True when the shard found an invariant violation,
+        violation: True when the unit found an invariant violation,
             deadlock or livelock.
-        resumed: True when the shard was loaded from a checkpoint rather
+        resumed: True when the unit was loaded from a checkpoint rather
             than executed.
     """
 

@@ -129,7 +129,7 @@ class _LastStep:
 
 def _first_node_diff(executor, recorded_nodes: Dict[str, str]):
     """The first node (in system order) whose replayed state no longer
-    matches its recorded digest (current or legacy scheme)."""
+    matches its recorded digest."""
     actual = node_digests(executor)
     for node in executor.system.nodes:
         key = str(node)

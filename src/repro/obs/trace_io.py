@@ -17,11 +17,9 @@ Digests are SHA-256 over the canonical byte encoding
 (:func:`repro.core.encoding.encode_value`), truncated to 16 hex chars —
 injective and independent of repr formatting, dict/set iteration order,
 and ``PYTHONHASHSEED`` *by construction*, not by the accident that the
-values recorded so far happened to have order-stable reprs.  Traces
-written before this change digested ``repr(value)`` instead; replay
-accepts those legacy digests too (:func:`digest_matches` compares a
-recorded digest against both encodings), so old trace files keep
-verifying.
+values recorded so far happened to have order-stable reprs.  A trace
+whose digests were taken any other way (such as over ``repr(value)``)
+does not match, and replay reports the divergence.
 """
 
 from __future__ import annotations
@@ -53,23 +51,9 @@ def stable_digest(value: Any) -> str:
     return hashlib.sha256(encode_value(value)).hexdigest()[:16]
 
 
-def legacy_digest(value: Any) -> str:
-    """The pre-encoding digest (SHA-256 of ``repr(value)``): what traces
-    recorded before :func:`stable_digest` moved to canonical bytes.
-    Kept only so replays of old trace files still verify."""
-    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:16]
-
-
 def digest_matches(recorded: Optional[str], value: Any) -> bool:
-    """Does a digest recorded in a trace match ``value``?
-
-    Accepts the current encoding-based digest and, failing that, the
-    legacy repr-based one — replay of an old trace must not report
-    divergence just because the digest scheme moved on.
-    """
-    if recorded is None:
-        return False
-    return recorded == stable_digest(value) or recorded == legacy_digest(value)
+    """Does a digest recorded in a trace match ``value``?"""
+    return recorded is not None and recorded == stable_digest(value)
 
 
 def config_digest(executor) -> str:

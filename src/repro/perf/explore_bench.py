@@ -7,8 +7,9 @@ cases, three ways each:
 * **reduced** — Θ-orbit canonical dedup, serial: the symmetry-reduction
   payoff is the ``unreduced/reduced`` state ratio, roughly the
   automorphism-group size on fully symmetric families;
-* **sharded** — Θ-reduced at the requested worker count (on a single
-  core the engine stays serial and the row records that honestly).
+* **sharded** — Θ-reduced at the requested worker count: BFS levels of
+  more than one chunk run on the process pool (the row records the
+  effective worker count, 0 when no level was large enough).
 
 The cases are the paper's headline experiments:
 
@@ -81,7 +82,7 @@ def run_explore_bench(
     Args:
         cases: ``(name, spec)`` pairs; defaults to :func:`default_cases`.
         workers: requested pool size for the sharded run (the row records
-            the *effective* count, which is 0 on a single-core host).
+            the *effective* count, which is 0 when no level ran pooled).
         output: path for the JSON artifact, or None to skip writing.
 
     Returns:
@@ -96,10 +97,8 @@ def run_explore_bench(
     }
 
     for name, spec in cases:
-        unreduced = run_explore(
-            replace(spec, symmetry=False, split_depth=0), workers=0
-        )
-        reduced = run_explore(replace(spec, split_depth=0), workers=0)
+        unreduced = run_explore(replace(spec, symmetry=False), workers=0)
+        reduced = run_explore(spec, workers=0)
         sharded = run_explore(spec, workers=workers)
 
         agree = (

@@ -63,6 +63,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.encoding import encode_value
+from ..core.refinement import ENGINES
 from ..exceptions import ReproError, ServeError
 from ..obs.events import EventHub, ServeDegraded, ServeWave
 
@@ -392,11 +393,10 @@ class AnalysisService:
         for req in requests:
             try:
                 prepared.append(self._prepare_similarity(req))
-            except ReproError as exc:
-                # One malformed scenario fails its own request, never
-                # its wave-mates.
-                self.counters["errors"] += 1
-                prepared.append((None, None, {"error": str(exc)}))
+            except Exception as exc:
+                # One malformed request fails itself, never its
+                # wave-mates.
+                prepared.append((None, None, self._request_error(exc)))
         todo = [
             (i, system, engine)
             for i, (system, engine, summary) in enumerate(prepared)
@@ -435,7 +435,11 @@ class AnalysisService:
         scenario = request.get("scenario")
         if not isinstance(scenario, dict):
             raise ServeError("similarity request needs a 'scenario' object")
-        engine = str(request.get("engine", "worklist"))
+        engine = request.get("engine", "worklist")
+        if engine not in ENGINES:
+            raise ServeError(
+                f"unknown engine {engine!r}; pick from {sorted(ENGINES)}"
+            )
         system = build_scenario(scenario).system
         fingerprint = system_fingerprint(system)
         memo_key = f"{fingerprint}:{engine}"
@@ -482,30 +486,40 @@ class AnalysisService:
                 self._degrade(f"store write failed: {exc}")
         return summary
 
+    def _request_error(self, exc: Exception) -> dict:
+        """The error answer of one failed request or job group."""
+        self.counters["errors"] += 1
+        if isinstance(exc, ReproError):
+            return {"error": str(exc)}
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
     def _execute_one(self, op: str, request: dict,
                      hub: Optional[EventHub]) -> dict:
+        """Run one job group; any failure stays with that group."""
         try:
             return self._run_job(op, request, hub)
-        except ReproError as exc:
-            self.counters["errors"] += 1
-            return {"error": str(exc)}
         except OSError as exc:
             # The store went unwritable mid-job (read-only root, disk
             # full): detach it and answer the request memory-only.
             self._degrade(f"store write failed during {op} job: {exc}")
             try:
                 return self._run_job(op, request, hub)
-            except ReproError as exc2:
-                self.counters["errors"] += 1
-                return {"error": str(exc2)}
+            except Exception as exc2:
+                return self._request_error(exc2)
+        except Exception as exc:
+            return self._request_error(exc)
 
     def _run_job(self, op: str, request: dict,
                  hub: Optional[EventHub]) -> dict:
+        workers = request.get("workers", self.engine_workers)
+        if not isinstance(workers, int) or isinstance(workers, bool):
+            raise ServeError(f"workers must be an integer, not {workers!r}")
         if op == "witness":
-            return self._witness_job(request, hub)
-        return self._explore_job(request, hub)
+            return self._witness_job(request, workers, hub)
+        return self._explore_job(request, workers, hub)
 
-    def _witness_job(self, request: dict, hub: Optional[EventHub]) -> dict:
+    def _witness_job(self, request: dict, workers: int,
+                     hub: Optional[EventHub]) -> dict:
         from ..analysis.witness_engine import SweepSpec, run_sweep
 
         spec_doc = request.get("spec")
@@ -515,7 +529,7 @@ class AnalysisService:
         misses_before = self.decisions.misses
         result = run_sweep(
             spec,
-            workers=request.get("workers", self.engine_workers),
+            workers=workers,
             cache=self.decisions,
             hub=hub,
             store=self.store,
@@ -529,7 +543,8 @@ class AnalysisService:
             "cache_misses": self.decisions.misses - misses_before,
         }
 
-    def _explore_job(self, request: dict, hub: Optional[EventHub]) -> dict:
+    def _explore_job(self, request: dict, workers: int,
+                     hub: Optional[EventHub]) -> dict:
         from ..analysis.explore import ExploreSpec, run_explore
 
         spec_doc = request.get("spec")
@@ -538,7 +553,7 @@ class AnalysisService:
         spec = ExploreSpec.from_json(spec_doc)
         result = run_explore(
             spec,
-            workers=request.get("workers", self.engine_workers),
+            workers=workers,
             hub=hub,
             store=self.store,
         )

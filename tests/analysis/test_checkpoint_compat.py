@@ -27,7 +27,7 @@ def _tupleized_spec(**overrides):
     or a caller passing its own normalized dict) directly: semantically
     identical, but ``to_json()`` round-trips tuple -> list.
     """
-    fields = dict(scenario=RING3, max_depth=4, split_depth=2)
+    fields = dict(scenario=RING3, max_depth=4)
     fields.update(overrides)
     spec = ExploreSpec(**fields)
     object.__setattr__(spec, "scenario",
@@ -76,3 +76,23 @@ class TestWitnessCheckpointNormalization:
         assert [w.describe() for w in first.witnesses] == [
             w.describe() for w in second.witnesses
         ]
+
+    def test_torn_last_line_is_redone(self, tmp_path):
+        """A sweep killed mid-write leaves half a shard line with no
+        newline: resume ignores it, cuts it off, re-runs that shard, and
+        returns what an uninterrupted sweep does."""
+        spec = SweepSpec(weaker="Q", stronger="L", max_processors=2,
+                         max_names=2, max_variables=2)
+        ck = tmp_path / "sweep.ckpt.jsonl"
+        whole = run_sweep(spec, workers=1, checkpoint=str(ck))
+        data = ck.read_bytes()
+        last = data.rstrip(b"\n").rfind(b"\n") + 1
+        ck.write_bytes(data[: last + (len(data) - last) // 2])
+        resumed = run_sweep(spec, workers=1, checkpoint=str(ck))
+        assert resumed.resumed_shards == whole.shards - 1
+        assert resumed.records == whole.records
+        assert [w.describe() for w in resumed.witnesses] == [
+            w.describe() for w in whole.witnesses
+        ]
+        again = run_sweep(spec, workers=1, checkpoint=str(ck))
+        assert again.resumed_shards == whole.shards

@@ -52,9 +52,7 @@ DP5_DEADLOCK = ("phil0", "phil0", "phil1", "phil1", "phil2", "phil2",
 
 
 def dp4_spec(**overrides):
-    base = dict(
-        scenario=DP4, max_depth=8, invariants=("exclusion",), split_depth=0
-    )
+    base = dict(scenario=DP4, max_depth=8, invariants=("exclusion",))
     base.update(overrides)
     return ExploreSpec(**base)
 
@@ -94,7 +92,6 @@ class TestDiningHeadlines:
                 fairness="k-bounded",
                 k=5,
                 invariants=("exclusion",),
-                split_depth=0,
             ),
             workers=0,
         )
@@ -115,7 +112,6 @@ class TestDiningHeadlines:
                 check_deadlock=False,
                 check_livelock=True,
                 progress="eating",
-                split_depth=0,
             ),
             workers=0,
         )
@@ -161,7 +157,6 @@ class TestTheorem4Figures:
                 k=n,
                 invariants=("lockstep",),
                 check_deadlock=False,
-                split_depth=0,
             ),
             workers=0,
         )
@@ -186,24 +181,40 @@ class TestSymmetryReduction:
         assert reduced.unique_states < unreduced.unique_states
 
 
+def dpp6_spec(**overrides):
+    """DP'-6 to depth 12: its deeper BFS levels exceed one pool chunk,
+    so ``workers=2`` really fans out (no DP-4 level does)."""
+    base = dict(scenario=DPP6, max_depth=12, invariants=("exclusion",))
+    base.update(overrides)
+    return ExploreSpec(**base)
+
+
 class TestShardingDeterminism:
     def test_sharded_report_byte_identical_to_serial(self):
-        spec = dp4_spec(split_depth=2)
+        spec = dpp6_spec()
         serial = run_explore(spec, workers=0)
         sharded = run_explore(spec, workers=2)
+        assert serial.workers == 0
         assert sharded.workers == 2
         assert sharded.shards > 1
         assert json.dumps(serial.report_doc(), sort_keys=True) == json.dumps(
             sharded.report_doc(), sort_keys=True
         )
+        assert serial.state_digests == sharded.state_digests
 
-    def test_split_depth_does_not_change_the_violation(self):
-        flat = run_explore(dp4_spec(split_depth=0), workers=0)
-        split = run_explore(dp4_spec(split_depth=2), workers=0)
-        assert flat.violation == split.violation
+    def test_probe_hits_do_not_depend_on_chunking(self):
+        ring = {"topology": "ring", "size": 6, "model": "Q", "program": "random"}
+        for limit in (3, 32):
+            spec = ExploreSpec(scenario=ring, max_depth=8,
+                               probes=("uniform", "selected"), probe_limit=limit)
+            serial = run_explore(spec, workers=0)
+            sharded = run_explore(spec, workers=2)
+            assert sharded.workers == 2
+            assert serial.probe_hits
+            assert serial.probe_hits == sharded.probe_hits
 
     def test_checkpoint_resumes_to_identical_report(self, tmp_path):
-        spec = dp4_spec(max_depth=6, split_depth=2)
+        spec = dp4_spec(max_depth=6)
         path = str(tmp_path / "explore.ckpt.jsonl")
         first = run_explore(spec, workers=0, checkpoint=path)
         resumed = run_explore(spec, workers=0, checkpoint=path)
@@ -212,13 +223,98 @@ class TestShardingDeterminism:
             resumed.report_doc(), sort_keys=True
         )
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_resume_after_a_partial_run(self, tmp_path, workers):
+        """Drop the last finished levels from a real checkpoint: the
+        resumed run replays the rest, pooled or in-process, and reports
+        exactly what an uninterrupted run does."""
+        spec = dpp6_spec()
+        path = tmp_path / "explore.ckpt.jsonl"
+        whole = run_explore(spec, workers=workers, checkpoint=str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-4]))
+        resumed = run_explore(spec, workers=workers, checkpoint=str(path))
+        assert resumed.resumed_shards == len(lines) - 5
+        assert resumed.report_doc() == whole.report_doc()
+        assert resumed.state_digests == whole.state_digests
+
+    def test_torn_last_line_is_redone(self, tmp_path):
+        """A process killed mid-write leaves half a line with no newline:
+        resume ignores it, cuts it off, and appends whole lines after."""
+        spec = dp4_spec(max_depth=6)
+        path = tmp_path / "explore.ckpt.jsonl"
+        whole = run_explore(spec, workers=0, checkpoint=str(path))
+        data = path.read_bytes()
+        last = data.rstrip(b"\n").rfind(b"\n") + 1
+        path.write_bytes(data[: last + (len(data) - last) // 2])
+        resumed = run_explore(spec, workers=0, checkpoint=str(path))
+        assert resumed.resumed_shards == whole.shards - 1
+        assert resumed.report_doc() == whole.report_doc()
+        assert path.read_bytes() == data
+        again = run_explore(spec, workers=0, checkpoint=str(path))
+        assert again.resumed_shards == whole.shards
+
+    def test_malformed_middle_line_is_an_error(self, tmp_path):
+        path = tmp_path / "explore.ckpt.jsonl"
+        run_explore(dp4_spec(max_depth=6), workers=0, checkpoint=str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2][: len(lines[2]) // 2] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ExploreError, match="not valid JSON"):
+            run_explore(dp4_spec(max_depth=6), workers=0, checkpoint=str(path))
+
     def test_checkpoint_spec_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "explore.ckpt.jsonl")
-        run_explore(dp4_spec(max_depth=6, split_depth=2), workers=0,
-                    checkpoint=path)
+        run_explore(dp4_spec(max_depth=6), workers=0, checkpoint=path)
         with pytest.raises(ExploreError):
-            run_explore(dp4_spec(max_depth=8, split_depth=2), workers=0,
-                        checkpoint=path)
+            run_explore(dp4_spec(max_depth=8), workers=0, checkpoint=path)
+
+
+class TestOneSearch:
+    def _count_searches(self, monkeypatch, spec):
+        import repro.analysis.explore as explore
+
+        calls = []
+        real = explore.run_explore
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(explore, "run_explore", counting)
+        result = explore.run_explore(spec, workers=0)
+        assert result.violation is not None
+        return len(calls)
+
+    def test_unreduced_bfs_violation_is_not_re_searched(self, monkeypatch):
+        assert self._count_searches(monkeypatch, dp4_spec(symmetry=False)) == 1
+
+    def test_reduced_violation_is_re_searched(self, monkeypatch):
+        assert self._count_searches(monkeypatch, dp4_spec()) == 2
+
+    def test_serial_bfs_never_replays(self, monkeypatch):
+        import repro.analysis.explore as explore
+
+        def no_replay(self, entries):
+            raise AssertionError("an in-process run replayed a schedule")
+
+        monkeypatch.setattr(explore._Walker, "replay", no_replay)
+        assert run_explore(dpp6_spec(), workers=0).verdict == "certified"
+
+
+def _run_snippet(snippet, seed=None):
+    env = dict(os.environ)
+    if seed is not None:
+        env["PYTHONHASHSEED"] = str(seed)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", snippet],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    return proc.stdout
 
 
 class TestHashSeedDeterminism:
@@ -228,36 +324,43 @@ class TestHashSeedDeterminism:
     SNIPPET = (
         "import json\n"
         "from repro.analysis.explore import ExploreSpec, run_explore\n"
-        "spec = ExploreSpec(scenario={'topology': 'dining', 'size': 4,"
-        " 'program': 'left-first'}, max_depth=6,"
-        " invariants=('exclusion',), split_depth=2)\n"
+        "spec = ExploreSpec(scenario={'topology': 'dining', 'size': 6,"
+        " 'alternating': True, 'program': 'left-first'}, max_depth=12,"
+        " invariants=('exclusion',))\n"
         "serial = run_explore(spec, workers=0)\n"
         "sharded = run_explore(spec, workers=2)\n"
+        "assert sharded.workers == 2\n"
         "assert serial.report_doc() == sharded.report_doc()\n"
         "print(json.dumps(sharded.report_doc(), sort_keys=True))\n"
         "print(json.dumps(list(sharded.state_digests)))\n"
     )
 
-    def _run(self, seed):
-        env = dict(os.environ)
-        env["PYTHONHASHSEED"] = str(seed)
-        env["PYTHONPATH"] = os.path.join(
-            os.path.dirname(__file__), "..", "..", "src"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SNIPPET],
-            env=env,
-            check=True,
-            capture_output=True,
-            text=True,
-        )
-        return proc.stdout
-
     def test_sharded_equals_serial_across_hash_seeds(self):
-        out0 = self._run(0)
-        out42 = self._run(42)
+        out0 = _run_snippet(self.SNIPPET, 0)
+        out42 = _run_snippet(self.SNIPPET, 42)
         assert out0 == out42
         assert '"verdict"' in out0
+
+
+class TestPoolsStartNoResourceTracker:
+    # Both pools pass plain task arguments and initargs; neither creates
+    # shared memory, so the multiprocessing resource tracker (a process
+    # that outlives the pool) is never started.
+    SNIPPET = (
+        "from multiprocessing import resource_tracker\n"
+        "from repro.analysis.explore import ExploreSpec, run_explore\n"
+        "from repro.analysis.witness_engine import SweepSpec, run_sweep\n"
+        "spec = ExploreSpec(scenario={'topology': 'dining', 'size': 6,"
+        " 'alternating': True, 'program': 'left-first'}, max_depth=12,"
+        " invariants=('exclusion',))\n"
+        "assert run_explore(spec, workers=2).workers == 2\n"
+        "assert run_sweep(SweepSpec('Q', 'L', max_processors=2),"
+        " workers=2).workers == 2\n"
+        "print(resource_tracker._resource_tracker._pid)\n"
+    )
+
+    def test_no_resource_tracker(self):
+        assert _run_snippet(self.SNIPPET).strip() == "None"
 
 
 class TestCounterexampleTraces:
@@ -314,10 +417,10 @@ class TestEvents:
         hub = EventHub()
         ring = RingBufferSink(capacity=256)
         hub.attach(ring)
-        run_explore(dp4_spec(split_depth=2), workers=0, hub=hub)
+        run_explore(dp4_spec(), workers=0, hub=hub)
         progress = [e for e in ring.events() if isinstance(e, ExplorationProgress)]
         violated = [e for e in ring.events() if isinstance(e, InvariantViolated)]
-        assert progress, "per-shard ExplorationProgress events expected"
+        assert progress, "per-level ExplorationProgress events expected"
         assert len(violated) == 1
         assert violated[0].violation_kind == "deadlock"
         assert violated[0].depth == 8

@@ -55,17 +55,16 @@ def round_of(scheduler, n):
 @SETTINGS
 @given(scenarios(max_size=3), st.integers(min_value=0, max_value=50))
 def test_dedup_variants_agree(scenario, seed):
-    """Θ-reduced, unreduced, and sharded runs: one verdict, one witness."""
+    """Θ-reduced, unreduced, and DFS runs: one verdict, one witness."""
     spec = ExploreSpec(
         scenario={**scenario, "program_seed": seed},
         max_depth=4,
-        split_depth=0,
     )
     reduced = run_explore(spec, workers=0)
     unreduced = run_explore(replace(spec, symmetry=False), workers=0)
-    sharded = run_explore(replace(spec, split_depth=2), workers=0)
-    assert reduced.verdict == unreduced.verdict == sharded.verdict
-    assert reduced.violation == unreduced.violation == sharded.violation
+    depth_first = run_explore(replace(spec, strategy="dfs"), workers=0)
+    assert reduced.verdict == unreduced.verdict == depth_first.verdict
+    assert reduced.violation == unreduced.violation == depth_first.violation
     assert reduced.unique_states <= unreduced.unique_states
 
 
@@ -97,7 +96,6 @@ def test_theorem4_certified_by_explorer(scenario):
             k=n,
             invariants=("lockstep",),
             check_deadlock=False,
-            split_depth=0,
         ),
         workers=0,
     )
@@ -143,7 +141,6 @@ def test_permutation_rounds_can_split_interleaved_classes():
             k=3,
             invariants=("lockstep",),
             check_deadlock=False,
-            split_depth=0,
         ),
         workers=0,
     )
@@ -204,7 +201,6 @@ def test_restricted_walk_agrees_with_lockstep_holds(scenario, rounds):
             max_depth=len(schedule) * rounds,
             restrict=schedule * rounds,
             check_deadlock=False,
-            split_depth=0,
         ),
         workers=0,
         extra_invariants=[coarse_lockstep],
@@ -246,7 +242,6 @@ def test_uniform_probe_agrees_with_states_equal_infinitely_often(scenario):
             restrict=schedule,
             probes=("uniform",),
             check_deadlock=False,
-            split_depth=0,
             probe_limit=4096,
         ),
         workers=0,

@@ -140,17 +140,28 @@ class TestWitnessRecords:
         with pytest.raises(WitnessRecordError, match="canonical-form"):
             separation_witness_from_json(doc, other.network, other.initial_state)
 
-    def test_legacy_repr_key_accepted(self):
+    @pytest.mark.parametrize("shape", ["repr", "bare-hex", "not-a-string"])
+    def test_legacy_form_key_rejected(self, shape):
+        """Only ``"b:" + hex`` keys are read; the older ``repr`` and
+        untagged-hex shapes end in the structured record error."""
         from repro.core import separation_witness_from_json, separation_witness_to_json
-        from repro.core.hierarchy import _legacy_form_repr
+        from repro.core.hierarchy import _encoded_form
+        from repro.core.quotient import canonical_form
+        from repro.core.system import InstructionSet, ScheduleClass, System
+        from repro.exceptions import WitnessRecordError
 
         witness, system = self._witness()
         doc = separation_witness_to_json(witness)
-        doc["form"] = _legacy_form_repr(system.network, system.initial_state)
-        back = separation_witness_from_json(
-            doc, system.network, system.initial_state
-        )
-        assert back.valid
+        if shape == "repr":
+            q = System(system.network, system.initial_state,
+                       InstructionSet.Q, ScheduleClass.FAIR)
+            doc["form"] = repr(canonical_form(q))
+        elif shape == "bare-hex":
+            doc["form"] = _encoded_form(system.network, system.initial_state).hex()
+        else:
+            doc["form"] = 12
+        with pytest.raises(WitnessRecordError, match="canonical-form"):
+            separation_witness_from_json(doc, system.network, system.initial_state)
 
     def test_tampered_decisions_rejected(self):
         from repro.core import separation_witness_from_json, separation_witness_to_json

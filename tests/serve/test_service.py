@@ -2,6 +2,8 @@
 
 import asyncio
 
+import pytest
+
 from repro.serve import AnalysisService
 
 RING = {"topology": "ring", "size": 5, "marks": []}
@@ -108,6 +110,48 @@ class TestErrors:
         good, bad = run(go())
         assert good["classes"] == [["p0", "p1", "p2", "p3", "p4"]]
         assert "error" in bad
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            ({"op": "similarity",
+              "scenario": {"topology": "ring", "size": "abc"}}, None),
+            ({"op": "similarity",
+              "scenario": {"topology": "ring", "size": 5, "marks": 5}}, None),
+            ({"op": "similarity", "scenario": RING, "engine": "nope"}, "nope"),
+            ({"op": "explore", "spec": dict(EXPLORE, max_depth="3")},
+             "max_depth"),
+            ({"op": "explore", "spec": EXPLORE, "workers": "x"}, "workers"),
+            ({"op": "explore", "spec": dict(EXPLORE, split_depth=2)},
+             "split_depth"),
+            ({"op": "witness", "spec": dict(WITNESS, shards=3)}, "shards"),
+        ],
+        ids=["size-not-int", "marks-not-list", "unknown-engine",
+             "max-depth-str", "workers-str", "explore-unknown-key",
+             "witness-unknown-key"],
+    )
+    def test_malformed_request_fails_only_itself(self, bad, named):
+        """A request that fails with any exception — not only a
+        ReproError — answers with its own error; a valid request of the
+        same op in the same wave still gets its real answer."""
+        good = {
+            "similarity": {"op": "similarity", "scenario": RING},
+            "explore": {"op": "explore", "spec": EXPLORE},
+            "witness": {"op": "witness", "spec": WITNESS},
+        }[bad["op"]]
+
+        async def go():
+            async with AnalysisService(batch_window=0.05) as service:
+                return await asyncio.gather(
+                    service.submit(bad), service.submit(good)
+                )
+
+        bad_result, good_result = run(go())
+        assert "error" in bad_result
+        if named is not None:
+            assert named in bad_result["error"]
+        assert "error" not in good_result
+        assert good_result["op"] == bad["op"]
 
     def test_witness_without_spec(self):
         async def go():
