@@ -48,7 +48,7 @@ are not re-run on resume.  DFS and livelock walks run the whole tree
 in-process.
 
 CLI: ``python -m repro explore --topology dining --size 5 ...`` and
-``python -m repro bench-explore`` (``BENCH_explore.json``).
+``python -m repro bench explore`` (``BENCH_explore.json``).
 """
 
 from __future__ import annotations

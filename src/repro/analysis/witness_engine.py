@@ -46,7 +46,7 @@ completed shard and :class:`~repro.obs.events.WitnessFound` per witness
 in the final (deterministic) order.
 
 CLI: ``python -m repro witness Q L --workers 4 --checkpoint sweep.jsonl``
-and ``python -m repro bench-witness`` (``BENCH_witness.json``).
+and ``python -m repro bench witness`` (``BENCH_witness.json``).
 """
 
 from __future__ import annotations

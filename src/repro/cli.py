@@ -10,26 +10,19 @@ Gives the library's main analyses a shell-friendly surface:
 * ``elect`` -- leader election demos (SELECT / Itai-Rodeh);
 * ``batch`` -- bulk similarity analysis of a single-mark family through
   the fingerprint cache / process pool driver;
-* ``bench`` -- the refinement microbenchmarks (``BENCH_refinement.json``);
-* ``bench-mp`` -- faulty-channel delivery throughput (``BENCH_mp_faults.json``);
 * ``witness`` -- the sharded separation-witness sweep (checkpointable,
   resumable, deterministic output on any worker count);
-* ``bench-witness`` -- serial vs sharded vs cached sweep timings
-  (``BENCH_witness.json``);
 * ``explore`` -- bounded exhaustive schedule exploration with Θ-orbit
   symmetry reduction: deadlock/livelock/invariant checking with
   replayable counterexample traces;
-* ``bench-explore`` -- unreduced vs Θ-reduced vs sharded exploration
-  timings (``BENCH_explore.json``);
 * ``parametric`` -- parameterized verification over a symbolic topology
   family: explore sizes until the abstract reachable structure
   stabilizes, certify "for all n >= cutoff", independently re-verify;
-* ``bench-parametric`` -- the three headline cutoff detections, timed,
-  with a hash-seed-comparable report (``BENCH_parametric.json``);
 * ``serve`` -- the long-lived analysis service: HTTP and/or stdio front
   ends over the coalescing, store-backed engine core;
-* ``bench-serve`` -- cold vs warm-store serving benchmark under a
-  seeded concurrent mixed workload (``BENCH_serve.json``);
+* ``bench NAME`` -- regenerate one committed ``BENCH_<NAME>.json``
+  (``refinement``, ``mp_faults``, ``witness``, ``explore``,
+  ``parametric`` or ``serve``); exits 1 if the bench's gate fails;
 * ``store-gc`` -- decision-store garbage collector: usage report,
   LRU eviction under a byte cap, compaction, health check;
 * ``trace`` -- record a run as a replayable JSONL trace;
@@ -286,32 +279,6 @@ def cmd_batch(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from .perf.microbench import format_microbench, run_microbench
-
-    try:
-        sizes = tuple(int(s) for s in args.sizes.split(","))
-    except ValueError:
-        raise SystemExit(f"--sizes must be comma-separated integers, got {args.sizes!r}")
-    try:
-        doc = run_microbench(
-            sizes=sizes,
-            topologies=tuple(args.topologies.split(",")),
-            repeats=args.repeats,
-            batch_n=args.batch_n,
-            family_size=args.family_size,
-            workers=args.workers,
-            measure_baseline=not args.skip_baseline,
-            output=args.output,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    print(format_microbench(doc))
-    if args.output:
-        print(f"written: {args.output}")
-    return 0
-
-
 def _parse_crashes(specs) -> Dict[str, int]:
     crash_at: Dict[str, int] = {}
     for item in specs or []:
@@ -403,26 +370,6 @@ def cmd_trace_mp(args) -> int:
     return 0
 
 
-def cmd_bench_mp(args) -> int:
-    from .perf.mp_bench import format_mp_bench, run_mp_bench
-
-    try:
-        sizes = tuple(int(s) for s in args.sizes.split(","))
-    except ValueError:
-        raise SystemExit(f"--sizes must be comma-separated integers, got {args.sizes!r}")
-    doc = run_mp_bench(
-        sizes=sizes,
-        deliveries=args.deliveries,
-        repeats=args.repeats,
-        seed=args.seed,
-        output=args.output,
-    )
-    print(format_mp_bench(doc))
-    if args.output:
-        print(f"written: {args.output}")
-    return 0
-
-
 #: CLI model shorthands accepted on top of the MODEL_AXIS labels.
 _WITNESS_ALIASES = {"S": "fair-S", "BFS": "bounded-fair-S"}
 
@@ -489,39 +436,6 @@ def cmd_witness(args) -> int:
         with open(args.output, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"written: {args.output}")
-    return 0
-
-
-def cmd_bench_witness(args) -> int:
-    from .exceptions import WitnessSearchError
-    from .perf.witness_bench import format_witness_bench, run_witness_bench
-
-    pairs = None
-    if args.pairs:
-        pairs = []
-        for item in args.pairs.split(","):
-            weaker, sep, stronger = item.partition("<")
-            if not sep:
-                raise SystemExit(
-                    f"--pairs wants comma-separated WEAKER<STRONGER entries "
-                    f"(e.g. Q<L,BFS<Q), got {item!r}"
-                )
-            pairs.append((_witness_label(weaker), _witness_label(stronger)))
-    try:
-        doc = run_witness_bench(
-            **({"pairs": pairs} if pairs is not None else {}),
-            max_processors=args.max_processors,
-            max_names=args.max_names,
-            max_variables=args.max_variables,
-            allow_marks=args.allow_marks,
-            workers=args.workers,
-            output=args.output or None,
-        )
-    except WitnessSearchError as exc:
-        raise SystemExit(str(exc))
-    print(format_witness_bench(doc))
-    if args.output:
         print(f"written: {args.output}")
     return 0
 
@@ -605,23 +519,6 @@ def cmd_explore(args) -> int:
     return 1 if result.violation is not None else 0
 
 
-def cmd_bench_explore(args) -> int:
-    from .exceptions import ExploreError
-    from .perf.explore_bench import format_explore_bench, run_explore_bench
-
-    try:
-        doc = run_explore_bench(
-            workers=args.workers,
-            output=args.output or None,
-        )
-    except ExploreError as exc:
-        raise SystemExit(str(exc))
-    print(format_explore_bench(doc))
-    if args.output:
-        print(f"written: {args.output}")
-    return 0 if doc["all_agree"] else 1
-
-
 def cmd_parametric(args) -> int:
     from .analysis.parametric import run_parametric
     from .exceptions import ExploreError, FamilyError, ParametricError
@@ -679,40 +576,6 @@ def cmd_parametric(args) -> int:
     return 0 if verify["confirmed"] else 1
 
 
-def cmd_bench_parametric(args) -> int:
-    from .exceptions import ExploreError, FamilyError, ParametricError
-    from .perf.parametric_bench import (
-        format_parametric_bench,
-        run_parametric_bench,
-    )
-
-    cases = None
-    if args.cases:
-        cases = []
-        for item in args.cases.split(","):
-            family, sep, prop = item.partition("/")
-            if not sep:
-                raise SystemExit(
-                    f"--cases wants comma-separated FAMILY/PROPERTY entries "
-                    f"(e.g. dp/deadlock,ring/lockstep), got {item!r}"
-                )
-            cases.append((family, prop))
-    try:
-        doc = run_parametric_bench(
-            **({"cases": cases} if cases is not None else {}),
-            output=args.output or None,
-            determinism_output=args.determinism_output,
-        )
-    except (ParametricError, ExploreError, FamilyError) as exc:
-        raise SystemExit(str(exc))
-    print(format_parametric_bench(doc))
-    if args.output:
-        print(f"written: {args.output}")
-    if args.determinism_output:
-        print(f"determinism: {args.determinism_output}")
-    return 0 if doc["all_confirmed"] else 1
-
-
 def cmd_serve(args) -> int:
     import asyncio
 
@@ -748,42 +611,23 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_bench_serve(args) -> int:
-    from .perf.serve_bench import format_serve_bench, run_serve_bench
+def cmd_bench(args) -> int:
+    from .perf.bench import format_timings, run_bench
 
-    store_dir = args.store
-    cleanup = None
-    if store_dir is None:
-        import tempfile
-
-        cleanup = tempfile.TemporaryDirectory(prefix="repro-serve-bench-")
-        store_dir = cleanup.name
-    try:
-        doc = run_serve_bench(
-            store_dir=store_dir,
-            requests=args.requests,
-            seed=args.seed,
-            workers=args.workers,
-            batch_window=args.batch_window,
-            output=args.output or None,
-            determinism_output=args.determinism_output,
-        )
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
-    print(format_serve_bench(doc))
-    if args.output:
-        print(f"written: {args.output}")
+    output = f"BENCH_{args.name}.json" if args.output is None else args.output
+    doc = run_bench(
+        args.name,
+        workers=args.workers,
+        output=output,
+        determinism_output=args.determinism_output,
+        store=args.store,
+    )
+    print(format_timings(doc))
+    if output:
+        print(f"written: {output}")
     if args.determinism_output:
         print(f"determinism: {args.determinism_output}")
-    det = doc["determinism"]
-    ok = (
-        det["cold_warm_agree"]
-        and det["warm_witness_cache_misses"] == 0
-        and all(det.get("hardening", {}).values())
-        and all(det.get("gc", {}).values())
-    )
-    return 0 if ok else 1
+    return 0 if doc["ok"] else 1
 
 
 def cmd_store_gc(args) -> int:
@@ -832,6 +676,8 @@ def cmd_replay(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .perf.bench import BENCHES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Symmetry and similarity in distributed systems (PODC 1985), executable.",
@@ -907,21 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.set_defaults(func=cmd_batch)
 
-    bench = sub.add_parser("bench", help="refinement microbenchmarks")
-    bench.add_argument("--sizes", default="100,1000,10000",
-                       help="comma-separated processor counts")
-    bench.add_argument("--topologies", default="ring,grid,random")
-    bench.add_argument("--repeats", type=int, default=1)
-    bench.add_argument("--batch-n", type=int, default=None,
-                       help="ring size for the batch comparison (default: max size)")
-    bench.add_argument("--family-size", type=int, default=4)
-    bench.add_argument("--workers", type=_positive_workers, default=4)
-    bench.add_argument("--skip-baseline", action="store_true",
-                       help="skip the slow serial-uncached baseline")
-    bench.add_argument("--output", default="BENCH_refinement.json",
-                       help='JSON artifact path ("" to skip writing)')
-    bench.set_defaults(func=cmd_bench)
-
     trace = sub.add_parser(
         "trace", help="record a run as a replayable JSONL trace"
     )
@@ -987,19 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="config-digest sampling stride (default: #processors)")
     trace_mp.set_defaults(func=cmd_trace_mp)
 
-    bench_mp = sub.add_parser(
-        "bench-mp", help="faulty-channel delivery-throughput microbenchmark"
-    )
-    bench_mp.add_argument("--sizes", default="16,64,256",
-                          help="comma-separated ring sizes")
-    bench_mp.add_argument("--deliveries", type=int, default=20000,
-                          help="delivery budget per cell")
-    bench_mp.add_argument("--repeats", type=int, default=1)
-    bench_mp.add_argument("--seed", type=int, default=0)
-    bench_mp.add_argument("--output", default="BENCH_mp_faults.json",
-                          help='JSON artifact path ("" to skip writing)')
-    bench_mp.set_defaults(func=cmd_bench_mp)
-
     witness = sub.add_parser(
         "witness", help="sharded separation-witness sweep between two models"
     )
@@ -1027,22 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
     witness.add_argument("--output", "-o", metavar="PATH",
                          help="write the witness list as JSON")
     witness.set_defaults(func=cmd_witness)
-
-    bench_witness = sub.add_parser(
-        "bench-witness", help="witness-sweep microbenchmark: serial vs sharded vs cached"
-    )
-    bench_witness.add_argument(
-        "--pairs", default=None,
-        help="comma-separated WEAKER<STRONGER pairs (default: all adjacent pairs)",
-    )
-    bench_witness.add_argument("--max-processors", type=int, default=3)
-    bench_witness.add_argument("--max-names", type=int, default=2)
-    bench_witness.add_argument("--max-variables", type=int, default=3)
-    bench_witness.add_argument("--allow-marks", action="store_true")
-    bench_witness.add_argument("--workers", type=_positive_workers, default=4)
-    bench_witness.add_argument("--output", default="BENCH_witness.json",
-                               help='JSON artifact path ("" to skip writing)')
-    bench_witness.set_defaults(func=cmd_bench_witness)
 
     explore = sub.add_parser(
         "explore",
@@ -1120,15 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.set_defaults(func=cmd_explore)
 
-    bench_explore = sub.add_parser(
-        "bench-explore",
-        help="schedule-explorer microbenchmark: unreduced vs Θ-reduced vs sharded",
-    )
-    bench_explore.add_argument("--workers", type=_positive_workers, default=4)
-    bench_explore.add_argument("--output", default="BENCH_explore.json",
-                               help='JSON artifact path ("" to skip writing)')
-    bench_explore.set_defaults(func=cmd_bench_explore)
-
     parametric = sub.add_parser(
         "parametric",
         help="parameterized verification: detect a cutoff, verify once, "
@@ -1162,25 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write the full cutoff report as JSON")
     parametric.set_defaults(func=cmd_parametric)
 
-    bench_parametric = sub.add_parser(
-        "bench-parametric",
-        help="parametric-verification benchmark: three headline cutoffs, "
-             "timed and verified",
-    )
-    bench_parametric.add_argument(
-        "--cases", default=None,
-        help="comma-separated FAMILY/PROPERTY pairs "
-             "(default: dp/deadlock,dp-prime/deadlock-free,ring/lockstep)",
-    )
-    bench_parametric.add_argument("--output", default="BENCH_parametric.json",
-                                  help='JSON artifact path ("" to skip writing)')
-    bench_parametric.add_argument(
-        "--determinism-output", metavar="PATH", default=None,
-        help="also write the hash-seed-comparable section standalone "
-             "(what CI compares byte-for-byte)",
-    )
-    bench_parametric.set_defaults(func=cmd_bench_parametric)
-
     serve = sub.add_parser(
         "serve", help="long-lived analysis service (HTTP and/or stdio)"
     )
@@ -1209,26 +983,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="request-coalescing window in seconds")
     serve.set_defaults(func=cmd_serve)
 
-    bench_serve = sub.add_parser(
-        "bench-serve",
-        help="serving benchmark: cold vs warm store under concurrent load",
+    bench = sub.add_parser(
+        "bench", help="regenerate a committed BENCH_<NAME>.json artifact"
     )
-    bench_serve.add_argument("--store", metavar="DIR", default=None,
-                             help="store directory (default: fresh temp dir)")
-    bench_serve.add_argument("--requests", type=int, default=24,
-                             help="workload length per phase")
-    bench_serve.add_argument("--seed", type=int, default=7,
-                             help="workload RNG seed")
-    bench_serve.add_argument("--workers", type=_positive_workers, default=1)
-    bench_serve.add_argument("--batch-window", type=float, default=0.005)
-    bench_serve.add_argument("--output", default="BENCH_serve.json",
-                             help='JSON artifact path ("" to skip writing)')
-    bench_serve.add_argument(
+    bench.add_argument("name", metavar="NAME", choices=list(BENCHES),
+                       help=f"one of: {', '.join(BENCHES)}")
+    bench.add_argument("--workers", type=_positive_workers, default=2,
+                       help="pool size of the pooled runs (1 = serial; default: 2)")
+    bench.add_argument("--output", default=None,
+                       help='JSON artifact path (default: BENCH_<NAME>.json; '
+                            '"" to skip writing)')
+    bench.add_argument(
         "--determinism-output", metavar="PATH", default=None,
-        help="also write the hash-seed-comparable section standalone "
+        help="also write the determinism block alone "
              "(what CI compares byte-for-byte)",
     )
-    bench_serve.set_defaults(func=cmd_bench_serve)
+    bench.add_argument("--store", metavar="DIR", default=None,
+                       help="the serve bench's store directory "
+                            "(default: fresh temp dir)")
+    bench.set_defaults(func=cmd_bench)
 
     store_gc = sub.add_parser(
         "store-gc",

@@ -115,9 +115,12 @@ def encode_value(value: Hashable) -> bytes:
     if tpe is float:
         # Standard order-preserving trick: flip the sign bit of
         # non-negatives, complement negatives.  NaN is canonicalized so
-        # equal-by-identity NaN keys encode identically.
+        # equal-by-identity NaN keys encode identically, and -0.0 so
+        # that it encodes like the 0.0 it equals (and hashes as).
         if value != value:  # NaN
             return _T_FLOAT + b"\xff" * 8
+        if value == 0.0:
+            value = 0.0
         bits = struct.unpack(">Q", struct.pack(">d", value))[0]
         if bits & (1 << 63):
             bits = ~bits & 0xFFFFFFFFFFFFFFFF

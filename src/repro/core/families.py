@@ -193,7 +193,7 @@ def single_mark_family(
     other node blank.  All members share the *same* ``network`` object, so
     batch analyses (:func:`repro.perf.batch_similarity`) reuse one
     incidence cache across the whole family; this is also the standard
-    workload of the refinement microbenchmarks ("the n-ring family").
+    workload of the ``refinement`` bench's batch run ("the n-ring family").
     """
     from .system import ScheduleClass
 

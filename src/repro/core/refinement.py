@@ -23,21 +23,16 @@ point :func:`compute_similarity_labeling` picks the worklist engine.
 Fast path
 ---------
 
-Every engine accepts ``use_incidence_cache`` (default True).  The cached
-path reads adjacency from the network's shared
-:class:`~repro.core.network.IncidenceCache` and runs entirely on interned
-small integers: node ids become array indices, labels become consecutive
-ints, and block membership tests are int-set lookups.  Splitting only ever
-touches nodes *incident to the popped block*, never the untouched
-remainder of a neighboring block, which is what turns the worklist engine
-from quadratic-in-practice into the near-linear behavior Theorem 5
-promises.
-
-``use_incidence_cache=False`` selects the reference path: the original
-straightforward implementations that re-derive neighbor lists through the
-:class:`~repro.core.network.Network` accessors on every use.  It exists as
-an executable baseline -- tests assert the two paths agree bit-for-bit and
-the microbenchmarks (:mod:`repro.perf.microbench`) measure the gap.
+All engines read adjacency from the network's shared
+:class:`~repro.core.network.IncidenceCache`.  The signature and worklist
+engines run on interned small integers: node ids become array indices,
+labels become consecutive ints, and block membership tests are int-set
+lookups.  Splitting only ever touches nodes *incident to the popped
+block*, never the untouched remainder of a neighboring block, which is
+what turns the worklist engine from quadratic-in-practice into the
+near-linear behavior Theorem 5 promises.  The straightforward
+node-id implementations these replaced live on in the test suite as an
+independent oracle: every engine's labels must match them bit-for-bit.
 """
 
 from __future__ import annotations
@@ -150,7 +145,6 @@ def algorithm1_literal(
     system: System,
     model: EnvironmentModel = EnvironmentModel.MULTISET,
     include_state: bool = True,
-    use_incidence_cache: bool = True,
     sink=None,
 ) -> RefinementResult:
     """The paper's Algorithm 1 as written.
@@ -168,11 +162,7 @@ def algorithm1_literal(
     labeling.
     """
     start = time.perf_counter()
-    incidence = (
-        system.network.incidence
-        if use_incidence_cache
-        else system.network.build_incidence()
-    )
+    incidence = system.network.incidence
     assignment: Dict[NodeId, Hashable] = {
         n: l for n, l in _initial_labeling(system, include_state).items()
     }
@@ -222,7 +212,6 @@ def algorithm1_signatures(
     system: System,
     model: EnvironmentModel = EnvironmentModel.MULTISET,
     include_state: bool = True,
-    use_incidence_cache: bool = True,
     sink=None,
 ) -> RefinementResult:
     """Global-round refinement: relabel all nodes by (label, signature).
@@ -232,10 +221,7 @@ def algorithm1_signatures(
     until the fixpoint; at most ``|P| + |V|`` rounds.
     """
     start = time.perf_counter()
-    if use_incidence_cache:
-        result = _signatures_interned(system, model, include_state, sink)
-    else:
-        result = _signatures_reference(system, model, include_state, sink)
+    result = _signatures_interned(system, model, include_state, sink)
     _emit_completion(sink, "signatures", result, start)
     return result
 
@@ -299,90 +285,15 @@ def _signatures_interned(
     return RefinementResult(final, RefinementStats(rounds, splits, len(final.labels)))
 
 
-def _signatures_reference(
-    system: System, model: EnvironmentModel, include_state: bool, sink=None
-) -> RefinementResult:
-    """Reference path: nested-tuple signatures via the Network accessors."""
-    incidence = system.network.build_incidence()
-    labeling = _initial_labeling(system, include_state)
-    rounds = 0
-    splits = 0
-    while True:
-        rounds += 1
-        combined: Dict[NodeId, Hashable] = {}
-        for node in system.nodes:
-            combined[node] = (
-                labeling[node],
-                environment_signature(
-                    system, node, labeling, model, include_state, incidence
-                ),
-            )
-        # Intern the combined signatures as small integers for speed.
-        intern: Dict[Hashable, int] = {}
-        new_assignment: Dict[NodeId, int] = {}
-        for node in system.nodes:
-            key = combined[node]
-            if key not in intern:
-                intern[key] = len(intern)
-            new_assignment[node] = intern[key]
-        new_labeling = Labeling(new_assignment)
-        new_classes = len(new_labeling.labels)
-        old_classes = len(labeling.labels)
-        if sink is not None:
-            sink.on_event(RefinementRound("signatures", rounds, new_classes))
-        if new_classes == old_classes:
-            break
-        splits += new_classes - old_classes
-        labeling = new_labeling
-    final = _finalize(system, labeling)
-    return RefinementResult(final, RefinementStats(rounds, splits, len(final.labels)))
-
-
 # ----------------------------------------------------------------------
 # engine 3: worklist (Hopcroft / Paige-Tarjan style)
 # ----------------------------------------------------------------------
-
-
-class _Partition:
-    """Mutable block partition with split support (reference path)."""
-
-    def __init__(self, nodes: List[NodeId], initial: Dict[NodeId, Hashable]) -> None:
-        by_key: Dict[Hashable, List[NodeId]] = defaultdict(list)
-        for node in nodes:
-            by_key[initial[node]].append(node)
-        self.blocks: List[List[NodeId]] = []
-        self.block_of: Dict[NodeId, int] = {}
-        for key in sorted(by_key, key=repr):
-            idx = len(self.blocks)
-            members = by_key[key]
-            self.blocks.append(members)
-            for node in members:
-                self.block_of[node] = idx
-
-    def split_block(self, idx: int, groups: Dict[Hashable, List[NodeId]]) -> List[int]:
-        """Replace block ``idx`` by the given groups (a partition of it).
-
-        The largest group keeps the old index; the rest get fresh indices.
-        Returns the list of fresh indices (the "smaller halves").
-        """
-        ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), repr(kv[0])))
-        keep_key, keep_members = ordered[0]
-        self.blocks[idx] = keep_members
-        fresh: List[int] = []
-        for _key, members in ordered[1:]:
-            new_idx = len(self.blocks)
-            self.blocks.append(members)
-            for node in members:
-                self.block_of[node] = new_idx
-            fresh.append(new_idx)
-        return fresh
 
 
 def algorithm1_worklist(
     system: System,
     model: EnvironmentModel = EnvironmentModel.MULTISET,
     include_state: bool = True,
-    use_incidence_cache: bool = True,
     sink=None,
 ) -> RefinementResult:
     """Worklist refinement in the style of [H71] / Paige-Tarjan.
@@ -396,11 +307,11 @@ def algorithm1_worklist(
     presence for the SET model).  All but the largest fragment of every
     split are enqueued, which yields the O(n log n) behavior of Theorem 5.
 
-    The cached path additionally never scans block members that have no
-    edge into ``W``: untouched members stay in place as the split
-    remainder, so a pop costs O(edges incident to W), not O(size of the
-    touched blocks).  The reference path re-groups whole blocks, which is
-    quadratic on e.g. a fully-refining marked ring.
+    A pop never scans block members that have no edge into ``W``:
+    untouched members stay in place as the split remainder, so it costs
+    O(edges incident to W), not O(size of the touched blocks).  Re-grouping
+    whole blocks instead is quadratic on e.g. a fully-refining marked
+    ring.
 
     A final stabilization check (one signature round) guards against the
     subtle incompleteness of pure smaller-half counting splits; in
@@ -411,10 +322,7 @@ def algorithm1_worklist(
     is too fine-grained to be a useful "round").
     """
     start = time.perf_counter()
-    if use_incidence_cache:
-        result = _worklist_interned(system, model, include_state)
-    else:
-        result = _worklist_reference(system, model, include_state)
+    result = _worklist_interned(system, model, include_state)
     _emit_completion(sink, "worklist", result, start)
     return result
 
@@ -578,114 +486,6 @@ def _worklist_interned(
     return RefinementResult(final, RefinementStats(rounds, splits, len(final.labels)))
 
 
-def _worklist_reference(
-    system: System, model: EnvironmentModel, include_state: bool
-) -> RefinementResult:
-    """Reference path: node-id blocks, whole-block regrouping per pop."""
-    net = system.network
-    nodes = list(system.nodes)
-    init = {n: l for n, l in _initial_labeling(system, include_state).items()}
-    part = _Partition(nodes, init)
-
-    rounds = 0
-    splits = 0
-
-    worklist = deque(range(len(part.blocks)))
-    queued = set(worklist)
-
-    def enqueue(idx: int) -> None:
-        if idx not in queued:
-            worklist.append(idx)
-            queued.add(idx)
-
-    while worklist:
-        w_idx = worklist.popleft()
-        queued.discard(w_idx)
-        rounds += 1
-        w_members = list(part.blocks[w_idx])
-        if not w_members:
-            continue
-        w_is_variable = net.is_variable(w_members[0])
-
-        if w_is_variable:
-            # Re-split processor blocks by which names map into W.
-            w_set = set(w_members)
-            touched: Dict[int, List[NodeId]] = defaultdict(list)
-            for v in w_members:
-                for p, _name in net.neighbors_of_variable(v):
-                    touched[part.block_of[p]].append(p)
-            for b_idx, _procs in list(touched.items()):
-                members = part.blocks[b_idx]
-                groups: Dict[Hashable, List[NodeId]] = defaultdict(list)
-                for p in members:
-                    key = tuple(
-                        name for name in net.names if net.n_nbr(p, name) in w_set
-                    )
-                    groups[key].append(p)
-                if len(groups) > 1:
-                    splits += len(groups) - 1
-                    for fresh_idx in part.split_block(b_idx, groups):
-                        enqueue(fresh_idx)
-                    # The kept fragment changed membership; it may need to
-                    # split others again.
-                    enqueue(b_idx)
-        else:
-            # Re-split variable blocks by per-name counts of neighbors in W.
-            w_set = set(w_members)
-            touched_vars: Dict[int, set] = defaultdict(set)
-            for p in w_members:
-                for name in net.names:
-                    v = net.n_nbr(p, name)
-                    touched_vars[part.block_of[v]].add(v)
-            for b_idx in list(touched_vars):
-                members = part.blocks[b_idx]
-                groups = defaultdict(list)
-                for v in members:
-                    per_name = []
-                    for name in net.names:
-                        in_w = [
-                            p
-                            for p in net.n_neighbors_of_variable(v, name)
-                            if p in w_set
-                        ]
-                        if model is EnvironmentModel.MULTISET:
-                            per_name.append(len(in_w))
-                        else:
-                            per_name.append(bool(in_w))
-                    groups[tuple(per_name)].append(v)
-                if len(groups) > 1:
-                    splits += len(groups) - 1
-                    for fresh_idx in part.split_block(b_idx, groups):
-                        enqueue(fresh_idx)
-                    enqueue(b_idx)
-
-    labeling = Labeling({n: part.block_of[n] for n in nodes})
-
-    # Safety net: confirm stability with one signature pass; finish with the
-    # signature engine from this partition if anything still splits.
-    incidence = net.build_incidence()
-    sig_round = {
-        node: (
-            labeling[node],
-            environment_signature(
-                system, node, labeling, model, include_state, incidence
-            ),
-        )
-        for node in nodes
-    }
-    if len(set(sig_round.values())) != len(labeling.labels):  # pragma: no cover
-        refined = _signatures_reference(system, model, include_state)
-        return RefinementResult(
-            refined.labeling,
-            RefinementStats(rounds + refined.stats.rounds,
-                            splits + refined.stats.splits,
-                            refined.stats.classes),
-        )
-
-    final = _finalize(system, labeling)
-    return RefinementResult(final, RefinementStats(rounds, splits, len(final.labels)))
-
-
 # ----------------------------------------------------------------------
 # public entry point
 # ----------------------------------------------------------------------
@@ -702,7 +502,6 @@ def compute_similarity_labeling(
     model: Optional[EnvironmentModel] = None,
     include_state: bool = True,
     engine: str = "worklist",
-    use_incidence_cache: bool = True,
     sink=None,
 ) -> RefinementResult:
     """Compute the similarity labeling ``Theta`` of ``system``.
@@ -718,10 +517,6 @@ def compute_similarity_labeling(
             (Algorithm 3's structural first phase).
         engine: ``"worklist"`` (default), ``"signatures"`` or
             ``"literal"``.
-        use_incidence_cache: read adjacency from the network's shared
-            incidence cache (fast interned path); ``False`` selects the
-            reference path that re-derives edges through the Network
-            accessors.
         sink: optional event sink (:mod:`repro.obs`) receiving
             refinement-round and completion events.
     """
@@ -731,4 +526,4 @@ def compute_similarity_labeling(
         fn = ENGINES[engine]
     except KeyError:
         raise ValueError(f"unknown engine {engine!r}; pick from {sorted(ENGINES)}")
-    return fn(system, model, include_state, use_incidence_cache, sink=sink)
+    return fn(system, model, include_state, sink=sink)

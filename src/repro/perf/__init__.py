@@ -1,4 +1,4 @@
-"""Performance layer: batch similarity analysis and microbenchmarks.
+"""Performance layer: batch similarity analysis and the bench harness.
 
 The core engines (:mod:`repro.core.refinement`) answer one similarity
 query at a time.  Production workloads ask many related queries -- every
@@ -9,27 +9,15 @@ configuration of an experiment -- and this package drives those in bulk:
   systems across a ``concurrent.futures`` process pool with a keyed
   result cache (system fingerprint -> :class:`RefinementResult`), so
   duplicate members are solved once and independent members in parallel.
-* :mod:`repro.perf.microbench` -- the refinement microbenchmark harness:
-  times all three engines across ring/grid/random topologies and records
-  the numbers in ``BENCH_refinement.json`` so every PR leaves a perf
-  trajectory behind.
-* :mod:`repro.perf.mp_bench` -- faulty-channel delivery throughput for
-  the message-passing runtime (``BENCH_mp_faults.json``);
-* :mod:`repro.perf.witness_bench` -- serial vs sharded vs cached timing
-  of the separation-witness sweep engine (``BENCH_witness.json``);
-* :mod:`repro.perf.explore_bench` -- unreduced vs Θ-reduced vs sharded
-  timing of the bounded schedule explorer (``BENCH_explore.json``);
-* :mod:`repro.perf.serve_bench` -- cold vs warm-store latency and
-  throughput of the analysis service under a seeded concurrent mixed
-  workload (``BENCH_serve.json``);
-* :mod:`repro.perf.parametric_bench` -- cutoff detection end to end over
-  the three headline parameterized claims (``BENCH_parametric.json``).
+* :mod:`repro.perf.bench` -- the one harness behind ``python -m repro
+  bench NAME``: six benches (``refinement``, ``mp_faults``, ``witness``,
+  ``explore``, ``parametric``, ``serve``) that regenerate the committed
+  ``BENCH_<NAME>.json`` files in one shape (``meta``, ``determinism``,
+  ``timings``, ``ok``);
+* :mod:`repro.perf.serve_bench` -- the ``serve`` bench's cold vs
+  warm-store workload and hardening probes.
 
-All are exposed on the CLI: ``python -m repro batch ...``,
-``python -m repro bench ...``, ``python -m repro bench-mp ...``,
-``python -m repro bench-witness ...``, ``python -m repro
-bench-explore ...``, ``python -m repro bench-serve ...``, and
-``python -m repro bench-parametric ...``.
+The batch driver is on the CLI as ``python -m repro batch ...``.
 """
 
 from .batch import (
@@ -38,28 +26,10 @@ from .batch import (
     batch_similarity,
     system_fingerprint,
 )
-from .explore_bench import format_explore_bench, run_explore_bench
-from .meta import bench_meta
-from .microbench import run_microbench
-from .mp_bench import run_mp_bench
-from .parametric_bench import format_parametric_bench, run_parametric_bench
-from .serve_bench import format_serve_bench, run_serve_bench
-from .witness_bench import format_witness_bench, run_witness_bench
 
 __all__ = [
     "BatchReport",
     "SimilarityCache",
     "batch_similarity",
-    "bench_meta",
-    "format_explore_bench",
-    "format_parametric_bench",
-    "format_serve_bench",
-    "format_witness_bench",
-    "run_explore_bench",
-    "run_microbench",
-    "run_mp_bench",
-    "run_parametric_bench",
-    "run_serve_bench",
-    "run_witness_bench",
     "system_fingerprint",
 ]

@@ -119,16 +119,12 @@ class BatchReport:
 
 
 def _solve_one(
-    payload: Tuple[System, Optional[EnvironmentModel], bool, str, bool]
+    payload: Tuple[System, Optional[EnvironmentModel], bool, str]
 ) -> RefinementResult:
     """Worker entry point (module-level so it pickles)."""
-    system, model, include_state, engine, use_incidence_cache = payload
+    system, model, include_state, engine = payload
     return compute_similarity_labeling(
-        system,
-        model=model,
-        include_state=include_state,
-        engine=engine,
-        use_incidence_cache=use_incidence_cache,
+        system, model=model, include_state=include_state, engine=engine
     )
 
 
@@ -139,13 +135,12 @@ def batch_similarity(
     engine: str = "worklist",
     workers: Optional[int] = None,
     cache: Optional[SimilarityCache] = None,
-    use_incidence_cache: bool = True,
 ) -> BatchReport:
     """Compute similarity labelings for many systems at once.
 
     Args:
         systems: the batch; duplicates (by fingerprint) are solved once.
-        model / include_state / engine / use_incidence_cache: forwarded to
+        model / include_state / engine: forwarded to
             :func:`~repro.core.refinement.compute_similarity_labeling`.
         workers: process-pool size.  ``None`` picks ``min(4, cpu_count)``
             but stays serial on a single-core host; ``0`` or ``1`` forces
@@ -175,10 +170,7 @@ def batch_similarity(
         if fp not in todo and cache.get(fp) is None:
             todo[fp] = s
 
-    payloads = [
-        (s, model, include_state, engine, use_incidence_cache)
-        for s in todo.values()
-    ]
+    payloads = [(s, model, include_state, engine) for s in todo.values()]
     if payloads:
         if workers:
             with ProcessPoolExecutor(max_workers=workers) as pool:

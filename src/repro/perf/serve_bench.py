@@ -1,6 +1,6 @@
-"""Serving benchmark: concurrent mixed load against the analysis service.
+"""The ``serve`` bench: concurrent mixed load against the analysis service.
 
-``python -m repro bench-serve`` drives one :class:`~repro.serve.service
+``python -m repro bench serve`` drives one :class:`~repro.serve.service
 .AnalysisService` with a seeded mixed workload (similarity scenarios,
 small witness sweeps, small symmetric explorations — duplicates
 included, so coalescing has something to merge), twice:
@@ -11,19 +11,10 @@ included, so coalescing has something to merge), twice:
   all come back from disk.  The warm witness sweeps must report **zero**
   decision-cache misses — that is the store's contract.
 
-The report (``BENCH_serve.json``) separates two kinds of data:
-
-* ``determinism`` — per-request result digests (timing and counter
-  fields stripped), the final store composition, and the warm-phase
-  miss count.  Byte-identical across ``PYTHONHASHSEED`` values and
-  across runs; CI ``cmp``'s exactly this section (written standalone
-  via ``determinism_output``).
-* ``timings`` — p50/p99 latency, throughput, store hit rate,
-  coalescing counters.  Interleaving-dependent, never compared.
-
-After the two phases, two hardening probes run against the same store
-(their deterministic *booleans* join the ``determinism`` section; the
-detail lives in ``hardening``/``gc``):
+The ``determinism`` block holds per-request result digests (timing and
+counter fields stripped), the final store composition, the warm-phase
+miss count, and the booleans of three probes run afterwards against the
+same store:
 
 * **deadline** — two explore requests share one wave; the one carrying
   a microscopic deadline must come back ``{"error": "deadline"}`` while
@@ -34,6 +25,10 @@ detail lives in ``hardening``/``gc``):
 * **gc** — the populated store is collected down to half its size; the
   pass must land under the cap with nothing quarantined, and a
   subsequent integrity check must pass.
+
+The bench passes when cold and warm answers agree, the warm phase
+misses nothing, and every probe boolean holds.  Latency, throughput and
+coalescing counters per phase are the ``timings`` rows.
 """
 
 from __future__ import annotations
@@ -42,10 +37,9 @@ import asyncio
 import hashlib
 import json
 import random
+import tempfile
 import time
 from typing import List, Optional, Tuple
-
-from .meta import bench_meta
 
 #: Candidate pools for the seeded workload. Small on purpose: the bench
 #: must finish in CI seconds, and repeats are what exercise coalescing
@@ -65,6 +59,12 @@ _EXPLORE_SPECS = (
     {"scenario": {"topology": "star", "size": 3, "model": "Q"},
      "max_depth": 3, "symmetry": True},
 )
+
+#: The workload each phase replays: its length and RNG seed.
+REQUESTS = 24
+SEED = 7
+#: The service's coalescing window in seconds.
+BATCH_WINDOW = 0.005
 
 #: Result-document fields stripped before digesting: counters that vary
 #: with cache warmth or wave composition (a duplicate request answered
@@ -122,19 +122,20 @@ def _percentile(sorted_values: List[float], q: float) -> float:
 
 
 async def _run_phase(
-    store_dir: Optional[str],
+    phase: str,
+    store_dir: str,
     workload: List[dict],
     engine_workers: int,
-    batch_window: float,
-) -> Tuple[List[dict], List[float], dict]:
-    """One service lifetime over ``workload``; all requests in flight at
-    once.  Returns (results in workload order, latencies, stats doc)."""
+) -> Tuple[List[dict], dict]:
+    """One service lifetime over ``workload``, all requests in flight at
+    once.  Returns the results in workload order and the timings row."""
     from ..serve.service import AnalysisService
 
+    started = time.perf_counter()
     async with AnalysisService(
         store_dir=store_dir,
         engine_workers=engine_workers,
-        batch_window=batch_window,
+        batch_window=BATCH_WINDOW,
     ) as service:
 
         async def timed(request: dict) -> Tuple[dict, float]:
@@ -144,30 +145,25 @@ async def _run_phase(
 
         outcomes = await asyncio.gather(*(timed(req) for req in workload))
         stats = service.stats_doc()
-    results = [result for result, _ in outcomes]
-    latencies = [latency for _, latency in outcomes]
-    return results, latencies, stats
+    elapsed = time.perf_counter() - started
 
-
-def _timing_summary(latencies: List[float], elapsed: float,
-                    stats: dict) -> dict:
-    ordered = sorted(latencies)
+    latencies = sorted(latency for _, latency in outcomes)
     store = stats.get("store", {})
-    hit_rate = None
-    if store.get("gets"):
-        hit_rate = round(store["hits"] / store["gets"], 4)
-    return {
+    counters = stats["counters"]
+    row = {
+        "case": phase,
         "elapsed_s": round(elapsed, 4),
-        "p50_ms": round(_percentile(ordered, 0.50), 3),
-        "p99_ms": round(_percentile(ordered, 0.99), 3),
-        "throughput_rps": (
-            round(len(latencies) / elapsed, 2) if elapsed > 0 else None
+        "p50_ms": round(_percentile(latencies, 0.50), 3),
+        "p99_ms": round(_percentile(latencies, 0.99), 3),
+        "rps": round(len(latencies) / elapsed, 2),
+        "store_hit_rate": (
+            round(store["hits"] / store["gets"], 4) if store.get("gets") else None
         ),
-        "store_hit_rate": hit_rate,
-        "waves": stats["counters"]["waves"],
-        "coalesced": stats["counters"]["coalesced"],
-        "errors": stats["counters"]["errors"],
+        "waves": counters["waves"],
+        "coalesced": counters["coalesced"],
+        "errors": counters["errors"],
     }
+    return [result for result, _ in outcomes], row
 
 
 async def _deadline_probe(store_dir: str, engine_workers: int) -> dict:
@@ -183,13 +179,8 @@ async def _deadline_probe(store_dir: str, engine_workers: int) -> dict:
         engine_workers=engine_workers,
         batch_window=0.05,  # wide window: both requests join one wave
     ) as service:
-        tight_request = dict(
-            _EXPLORE_SPECS[0],
-            scenario=dict(_EXPLORE_SPECS[0]["scenario"]),
-        )
-        mate_request = dict(
-            _EXPLORE_SPECS[1],
-            scenario=dict(_EXPLORE_SPECS[1]["scenario"]),
+        tight_request, mate_request = (
+            dict(spec, scenario=dict(spec["scenario"])) for spec in _EXPLORE_SPECS
         )
         tight, mate = await asyncio.gather(
             service.submit(
@@ -197,12 +188,9 @@ async def _deadline_probe(store_dir: str, engine_workers: int) -> dict:
             ),
             service.submit({"op": "explore", "spec": mate_request}),
         )
-        counters = dict(service.counters)
     return {
-        "error_returned": tight.get("error") == "deadline",
-        "wavemate_ok": "error" not in mate,
-        "tight_result": tight,
-        "deadline_errors_counted": counters["deadline_errors"],
+        "deadline_error_returned": tight.get("error") == "deadline",
+        "deadline_wavemate_ok": "error" not in mate,
     }
 
 
@@ -216,7 +204,7 @@ async def _degraded_probe(store_dir: str, engine_workers: int) -> dict:
 
     async with AnalysisService(
         store_dir=store_dir, engine_workers=engine_workers,
-        batch_window=0.005,
+        batch_window=BATCH_WINDOW,
     ) as service:
 
         def refuse_write(*_args, **_kwargs):
@@ -235,10 +223,11 @@ async def _degraded_probe(store_dir: str, engine_workers: int) -> dict:
             "scenario": {"topology": "star", "size": 7, "marks": []},
         })
     return {
-        "first_ok": "error" not in first,
-        "status_degraded": stats_after_failure.get("store") == "degraded",
-        "served_after_detach": "error" not in second,
-        "reason": stats_after_failure.get("store_degraded_reason"),
+        "degraded_answered": "error" not in first,
+        "degraded_status_reported": (
+            stats_after_failure.get("store") == "degraded"
+        ),
+        "degraded_served_after_detach": "error" not in second,
     }
 
 
@@ -247,15 +236,10 @@ def _gc_probe(store_dir: str) -> dict:
     under cap, nothing quarantined, every survivor still readable."""
     from ..store import gc as store_gc
 
-    before = store_gc.usage(store_dir)
-    total = sum(u.bytes for u in before.values())
-    cap = max(1, total // 2)
-    report = store_gc.collect(store_dir, max_bytes=cap)
+    total = sum(u.bytes for u in store_gc.usage(store_dir).values())
+    report = store_gc.collect(store_dir, max_bytes=max(1, total // 2))
     health = store_gc.check(store_dir)
     return {
-        "cap_bytes": cap,
-        "report": report.to_json(),
-        "check": health,
         "under_cap": report.under_cap,
         "quarantined_zero": (
             report.quarantined == 0 and health["quarantined_now"] == 0
@@ -264,48 +248,17 @@ def _gc_probe(store_dir: str) -> dict:
     }
 
 
-def run_serve_bench(
-    store_dir: str,
-    requests: int = 24,
-    seed: int = 7,
-    workers: int = 1,
-    batch_window: float = 0.005,
-    output: Optional[str] = "BENCH_serve.json",
-    determinism_output: Optional[str] = None,
-) -> dict:
-    """Run the cold+warm serving benchmark over one store directory.
-
-    Args:
-        store_dir: store root shared by both phases; must start absent or
-            empty for the cold phase to really be cold.
-        requests: workload length (each phase replays the same mix).
-        seed: workload RNG seed.
-        workers: validated CLI worker count (>= 1; 1 = serial engines).
-        batch_window: service coalescing window in seconds.
-        output: full-report path, or None to skip writing.
-        determinism_output: optional path for the standalone
-            hash-seed-comparable section (what CI ``cmp``'s).
-
-    Returns:
-        The full report document.
-    """
-    workload = build_workload(requests, seed)
-    engine_workers = 0 if workers <= 1 else workers
-
-    t0 = time.perf_counter()
-    cold_results, cold_latencies, cold_stats = asyncio.run(
-        _run_phase(store_dir, workload, engine_workers, batch_window)
-    )
-    cold_elapsed = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    warm_results, warm_latencies, warm_stats = asyncio.run(
-        _run_phase(store_dir, workload, engine_workers, batch_window)
-    )
-    warm_elapsed = time.perf_counter() - t0
-
+def _measure(workers: int, store_dir: str) -> Tuple[dict, List[dict], bool]:
     from ..store import ContentStore, NS_DECISIONS, NS_ORBITS, NS_SIMILARITY
 
+    workload = build_workload(REQUESTS, SEED)
+    engine_workers = 0 if workers <= 1 else workers
+    cold_results, cold_row = asyncio.run(
+        _run_phase("cold", store_dir, workload, engine_workers)
+    )
+    warm_results, warm_row = asyncio.run(
+        _run_phase("warm", store_dir, workload, engine_workers)
+    )
     with ContentStore(store_dir) as store:
         composition = {
             ns: store.count(ns)
@@ -323,118 +276,36 @@ def run_serve_bench(
     for request in workload:
         mix[request["op"]] += 1
 
-    # Hardening probes run after the composition snapshot, so the
-    # cmp'd store composition above reflects the workload alone.
-    deadline_probe = asyncio.run(_deadline_probe(store_dir, engine_workers))
-    degraded_probe = asyncio.run(_degraded_probe(store_dir, engine_workers))
-    gc_probe = _gc_probe(store_dir)
+    # The probes run after the composition snapshot, so the store
+    # composition above reflects the workload alone.
+    hardening = asyncio.run(_deadline_probe(store_dir, engine_workers))
+    hardening.update(asyncio.run(_degraded_probe(store_dir, engine_workers)))
+    gc = _gc_probe(store_dir)
 
     determinism = {
-        "workload": {"requests": requests, "seed": seed, "mix": mix},
+        "workload": {"requests": REQUESTS, "seed": SEED, "mix": mix},
         "results": cold_digests,
         "warm_results": warm_digests,
         "cold_warm_agree": cold_digests == warm_digests,
         "store": composition,
         "warm_witness_cache_misses": warm_witness_misses,
-        # Booleans only: the probes' full reports carry store paths and
-        # timings, which differ per run — these must not.
-        "hardening": {
-            "deadline_error_returned": deadline_probe["error_returned"],
-            "deadline_wavemate_ok": deadline_probe["wavemate_ok"],
-            "degraded_answered": degraded_probe["first_ok"],
-            "degraded_status_reported": degraded_probe["status_degraded"],
-            "degraded_served_after_detach": (
-                degraded_probe["served_after_detach"]
-            ),
-        },
-        "gc": {
-            "under_cap": gc_probe["under_cap"],
-            "quarantined_zero": gc_probe["quarantined_zero"],
-            "evicted_some": gc_probe["evicted_some"],
-        },
+        "hardening": hardening,
+        "gc": gc,
     }
-    doc = {
-        "meta": bench_meta(requested_workers=workers),
-        "determinism": determinism,
-        "timings": {
-            "cold": _timing_summary(cold_latencies, cold_elapsed, cold_stats),
-            "warm": _timing_summary(warm_latencies, warm_elapsed, warm_stats),
-        },
-        "hardening": {
-            "deadline": deadline_probe,
-            "degraded": degraded_probe,
-        },
-        "gc": gc_probe,
-    }
-
-    if output:
-        with open(output, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    if determinism_output:
-        with open(determinism_output, "w") as fh:
-            json.dump(determinism, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return doc
+    ok = (
+        determinism["cold_warm_agree"]
+        and warm_witness_misses == 0
+        and all(hardening.values())
+        and all(gc.values())
+    )
+    return determinism, [cold_row, warm_row], ok
 
 
-def format_serve_bench(doc: dict) -> str:
-    """A terse human-readable rendering of :func:`run_serve_bench` output."""
-    meta = doc["meta"]
-    det = doc["determinism"]
-    mix = det["workload"]["mix"]
-    lines: List[str] = []
-    lines.append(
-        f"serve bench (python {meta['python']}, {meta['cpu_count']} cpu, "
-        f"{det['workload']['requests']} requests: "
-        f"{mix['similarity']} similarity / {mix['witness']} witness / "
-        f"{mix['explore']} explore, seed {det['workload']['seed']})"
-    )
-    lines.append(
-        f"{'phase':<8}{'p50':>10}{'p99':>10}{'rps':>8}{'hit%':>7}"
-        f"{'waves':>7}{'coalesced':>11}"
-    )
-    for phase in ("cold", "warm"):
-        row = doc["timings"][phase]
-        hit = (
-            f"{row['store_hit_rate'] * 100:.0f}%"
-            if row["store_hit_rate"] is not None
-            else "-"
-        )
-        lines.append(
-            f"{phase:<8}{row['p50_ms']:>8.1f}ms{row['p99_ms']:>8.1f}ms"
-            f"{row['throughput_rps']:>8.1f}{hit:>7}"
-            f"{row['waves']:>7}{row['coalesced']:>11}"
-        )
-    store = det["store"]
-    lines.append(
-        f"store: {store['decisions']} decisions, {store['similarity']} "
-        f"similarity summaries, {store['orbits']} orbit maps; "
-        f"warm witness cache misses: {det['warm_witness_cache_misses']} "
-        f"(must be 0); cold/warm answers agree: "
-        f"{'yes' if det['cold_warm_agree'] else 'NO'}"
-    )
-    hardening = det.get("hardening")
-    if hardening is not None:
-        ok = all(hardening.values())
-        lines.append(
-            f"hardening: deadline error "
-            f"{'yes' if hardening['deadline_error_returned'] else 'NO'}, "
-            f"wave-mate ok "
-            f"{'yes' if hardening['deadline_wavemate_ok'] else 'NO'}, "
-            f"degraded-mode serving "
-            f"{'yes' if hardening['degraded_served_after_detach'] else 'NO'}"
-            f" -> {'pass' if ok else 'FAIL'}"
-        )
-    gc_det = det.get("gc")
-    if gc_det is not None:
-        gc_doc = doc.get("gc", {})
-        report = gc_doc.get("report", {})
-        lines.append(
-            f"gc: {report.get('evicted_entries', '?')} evicted "
-            f"({report.get('evicted_bytes', '?')}B) under "
-            f"{gc_doc.get('cap_bytes', '?')}B cap; under-cap "
-            f"{'yes' if gc_det['under_cap'] else 'NO'}, quarantined-zero "
-            f"{'yes' if gc_det['quarantined_zero'] else 'NO'}"
-        )
-    return "\n".join(lines)
+def measure(workers: int, store: Optional[str]) -> Tuple[dict, List[dict], bool]:
+    """Run the cold and warm phases and the probes over ``store`` (start
+    it absent or empty so the cold phase is really cold), or over a fresh
+    temporary directory when ``store`` is None."""
+    if store is not None:
+        return _measure(workers, store)
+    with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as tmp:
+        return _measure(workers, tmp)

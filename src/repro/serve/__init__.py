@@ -10,7 +10,7 @@ summaries and orbit canonical keys computed for one request are free for
 every later one — in this process or any other.
 
 Entry points: ``python -m repro serve`` (HTTP and/or stdio front ends)
-and ``python -m repro bench-serve`` (seeded concurrent load generator;
+and ``python -m repro bench serve`` (seeded concurrent load generator;
 ``BENCH_serve.json``).
 """
 

@@ -28,7 +28,10 @@ Design points:
   whose file already exists folds the two documents together instead of
   blindly overwriting, so concurrent writers grow a shared entry (e.g.
   the decision list of one canonical-form bucket) instead of clobbering
-  each other.  A lost race costs a recompute later, never correctness.
+  each other.  A lost race between processes costs a recompute later,
+  never correctness; within one handle a lock serializes staging,
+  reads and flushes, so threads sharing it (the service's event loop
+  and engine thread) lose nothing.
 * **Atomicity** -- every write lands via temp-file + :func:`os.replace`
   in the same directory, so readers only ever observe complete files.
 * **Quarantine, not crashes** -- a corrupt or truncated entry (invalid
@@ -43,6 +46,7 @@ import copy
 import json
 import os
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Callable, Dict, Iterator, Optional, Tuple
@@ -105,6 +109,10 @@ class ContentStore:
         self.stats = StoreStats()
         self._pending: Dict[Tuple[str, str], Tuple[bytes, dict]] = {}
         self._mergers: Dict[str, Callable[[dict, dict], dict]] = {}
+        # Held across a flush's read-merge-write: two overlapping flushes
+        # of one entry could otherwise write the older merge last, and a
+        # get between a flush's unstaging and its write would miss.
+        self._lock = threading.RLock()
         try:
             os.makedirs(self.root, exist_ok=True)
         except OSError as exc:
@@ -135,20 +143,21 @@ class ContentStore:
     def get(self, namespace: str, key: bytes) -> Optional[dict]:
         """The stored value for ``key``, or None (miss or quarantined)."""
         digest = self.address(key)
-        self.stats.gets += 1
-        staged = self._pending.get((namespace, digest))
-        if staged is not None:
-            self.stats.hits += 1
-            # A copy, never the staged dict itself: handing out the
-            # pending entry by reference would let caller mutation
-            # silently rewrite what later flushes to disk.
-            return copy.deepcopy(staged[1])
-        value = self._read(namespace, digest, key)
-        if value is None:
-            self.stats.misses += 1
-        else:
-            self.stats.hits += 1
-        return value
+        with self._lock:
+            self.stats.gets += 1
+            staged = self._pending.get((namespace, digest))
+            if staged is not None:
+                self.stats.hits += 1
+                # A copy, never the staged dict itself: handing out the
+                # pending entry by reference would let caller mutation
+                # silently rewrite what later flushes to disk.
+                return copy.deepcopy(staged[1])
+            value = self._read(namespace, digest, key)
+            if value is None:
+                self.stats.misses += 1
+            else:
+                self.stats.hits += 1
+            return value
 
     def _read(self, namespace: str, digest: str, key: bytes) -> Optional[dict]:
         path = self._path(namespace, digest)
@@ -189,10 +198,11 @@ class ContentStore:
 
     def put(self, namespace: str, key: bytes, value: dict) -> None:
         """Stage ``value`` for ``key`` (write-behind; see :meth:`flush`)."""
-        self.stats.puts += 1
-        self._pending[(namespace, self.address(key))] = (key, dict(value))
-        if len(self._pending) >= self.flush_every:
-            self.flush()
+        with self._lock:
+            self.stats.puts += 1
+            self._pending[(namespace, self.address(key))] = (key, dict(value))
+            if len(self._pending) >= self.flush_every:
+                self.flush()
 
     def flush(self) -> int:
         """Write every staged entry to disk; returns entries written.
@@ -204,29 +214,30 @@ class ContentStore:
         With :attr:`max_bytes` set, a successful flush ends by evicting
         oldest entries until the store fits the cap again.
         """
-        written = 0
-        pending, self._pending = self._pending, {}
-        items = sorted(pending.items())
-        try:
-            for (namespace, digest), (key, value) in items:
-                merge = self._mergers.get(namespace)
-                if merge is not None:
-                    existing = self._read(namespace, digest, key)
-                    if existing is not None:
-                        value = merge(existing, value)
-                        self.stats.merges += 1
-                self._write(namespace, digest, key, value)
-                written += 1
-        except BaseException:
-            remainder = dict(items[written:])
-            remainder.update(self._pending)  # puts staged mid-merge win
-            self._pending = remainder
-            raise
-        if self.max_bytes is not None and written:
-            from .gc import enforce_cap
+        with self._lock:
+            written = 0
+            pending, self._pending = self._pending, {}
+            items = sorted(pending.items())
+            try:
+                for (namespace, digest), (key, value) in items:
+                    merge = self._mergers.get(namespace)
+                    if merge is not None:
+                        existing = self._read(namespace, digest, key)
+                        if existing is not None:
+                            value = merge(existing, value)
+                            self.stats.merges += 1
+                    self._write(namespace, digest, key, value)
+                    written += 1
+            except BaseException:
+                remainder = dict(items[written:])
+                remainder.update(self._pending)  # puts staged mid-merge win
+                self._pending = remainder
+                raise
+            if self.max_bytes is not None and written:
+                from .gc import enforce_cap
 
-            enforce_cap(self)
-        return written
+                enforce_cap(self)
+            return written
 
     def _write(self, namespace: str, digest: str, key: bytes, value: dict) -> None:
         path = self._path(namespace, digest)

@@ -1,7 +1,7 @@
 """Canonical byte encoding of state values (injective, ordered, stable)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import InstructionSet, System, encode_value
@@ -58,6 +58,7 @@ class TestEncodeValue:
 
     @SETTINGS
     @given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+    @example(-0.0, 0.0)
     def test_float_order_preserved(self, a, b):
         assert (encode_value(a) < encode_value(b)) == (a < b)
 

@@ -5,8 +5,9 @@ checks, over a spread of seeded-random networks, marks, environment
 models and name alphabets, that
 
 * literal, signatures and worklist produce the same partition, and
-* the incidence-cached fast path matches the uncached reference path
-  bit-for-bit (identical canonical labels, not just the same partition).
+* every engine matches the node-id reference engines of
+  :mod:`tests.core.reference_refinement` bit-for-bit (identical canonical
+  labels, not just the same partition).
 """
 
 import random
@@ -23,6 +24,8 @@ from repro.core import (
     compute_similarity_labeling,
 )
 from repro.topologies import random_network
+
+from .reference_refinement import signatures_reference, worklist_reference
 
 
 def _random_system(seed: int) -> System:
@@ -60,18 +63,20 @@ def test_engines_agree_and_cache_is_exact(seed, model):
     assert lit.same_partition(sig), (seed, model)
     assert sig.same_partition(wl), (seed, model)
 
-    # The cached fast path must be indistinguishable from the reference
-    # path: same canonical label on every node.
+    # The fast engines must be indistinguishable from the reference
+    # engines: same canonical label on every node.
+    references = [
+        reference(system, model, True).labeling
+        for reference in (signatures_reference, worklist_reference)
+    ]
     for engine in ("literal", "signatures", "worklist"):
         cached = compute_similarity_labeling(
-            system, model=model, engine=engine, use_incidence_cache=True
+            system, model=model, engine=engine
         ).labeling
-        reference = compute_similarity_labeling(
-            system, model=model, engine=engine, use_incidence_cache=False
-        ).labeling
-        assert {n: cached[n] for n in system.nodes} == {
-            n: reference[n] for n in system.nodes
-        }, (seed, model, engine)
+        for reference in references:
+            assert {n: cached[n] for n in system.nodes} == {
+                n: reference[n] for n in system.nodes
+            }, (seed, model, engine)
 
 
 @pytest.mark.parametrize("seed", range(6))

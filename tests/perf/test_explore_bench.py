@@ -1,13 +1,12 @@
-"""Smoke tests for the schedule-explorer benchmark harness."""
+"""Smoke tests for the ``explore`` bench (schedule explorer)."""
 
 import json
 
+import pytest
+
 from repro.analysis.explore import ExploreSpec
-from repro.perf.explore_bench import (
-    default_cases,
-    format_explore_bench,
-    run_explore_bench,
-)
+from repro.perf import bench
+from repro.perf.bench import EXPLORE_CASES, format_timings, run_bench
 
 #: A CI-sized case set: one violation, one certification.
 TINY_CASES = (
@@ -34,14 +33,18 @@ TINY_CASES = (
 )
 
 
+@pytest.fixture
+def tiny(monkeypatch):
+    monkeypatch.setattr(bench, "EXPLORE_CASES", TINY_CASES)
+
+
 class TestRunExploreBench:
-    def test_smoke_document_shape(self, tmp_path):
+    def test_smoke_document_shape(self, tiny, tmp_path):
         out = tmp_path / "BENCH_explore.json"
-        doc = run_explore_bench(cases=TINY_CASES, workers=0, output=str(out))
-        assert out.exists()
+        doc = run_bench("explore", workers=1, output=str(out))
         assert json.loads(out.read_text()) == doc
-        assert doc["all_agree"] is True
-        deadlock, lockstep = doc["cases"]
+        assert doc["ok"] is True
+        deadlock, lockstep = doc["determinism"]["cases"]
         assert deadlock["case"] == "dp4-deadlock"
         assert deadlock["verdict"] == "violation"
         assert deadlock["violation"]["kind"] == "deadlock"
@@ -51,26 +54,26 @@ class TestRunExploreBench:
         assert deadlock["group_size"] == 4
         assert lockstep["verdict"] == "certified"
         assert lockstep["violation"] is None
-        for row in doc["cases"]:
-            assert row["agreement"] is True
+        for case in doc["determinism"]["cases"]:
+            assert case["agreement"] is True
+        for row in doc["timings"]:
             assert row["unreduced_s"] >= 0
             assert row["reduced_s"] >= 0
-            assert row["sharded_s"] >= 0
-            assert "speedup_sharded" in row
-        # workers=0 never oversubscribes, so the run is not degraded
-        assert doc["meta"]["requested_workers"] == 0
+            assert row["pooled_s"] >= 0
+        # one worker never oversubscribes, so the run is not degraded
+        assert doc["meta"]["requested_workers"] == 1
         assert doc["meta"]["degraded"] is False
 
     def test_default_cases_are_the_headline_experiments(self):
-        names = [name for name, _spec in default_cases()]
+        names = [name for name, _spec in EXPLORE_CASES]
         assert names == ["dp-deadlock", "dp-prime-certified", "ring-lockstep"]
-        specs = dict(default_cases())
+        specs = dict(EXPLORE_CASES)
         assert specs["dp-deadlock"].scenario["topology"] == "dining"
         assert specs["dp-prime-certified"].scenario["alternating"] is True
         assert specs["ring-lockstep"].fairness == "k-bounded"
 
-    def test_format_renders(self):
-        doc = run_explore_bench(cases=TINY_CASES[:1], workers=0, output=None)
-        text = format_explore_bench(doc)
+    def test_format_renders(self, monkeypatch):
+        monkeypatch.setattr(bench, "EXPLORE_CASES", TINY_CASES[:1])
+        text = format_timings(run_bench("explore", workers=1))
         assert "dp4-deadlock" in text
-        assert "all verdicts agree: yes" in text
+        assert text.endswith("ok: yes")

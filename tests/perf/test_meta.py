@@ -1,8 +1,8 @@
-"""The shared benchmark meta block (and its honesty flag)."""
+"""The bench harness's meta block (and its honesty flag)."""
 
 import os
 
-from repro.perf.meta import bench_meta
+from repro.perf.bench import bench_meta
 
 
 class TestBenchMeta:

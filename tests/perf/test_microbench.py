@@ -1,70 +1,54 @@
-"""Smoke tests for the refinement microbenchmark harness."""
+"""Smoke tests for the ``refinement`` bench (Algorithm 1's engines)."""
 
 import json
 
 import pytest
 
-from repro.perf.microbench import format_microbench, run_microbench
+from repro.perf import bench
+from repro.perf.bench import format_timings, run_bench
+
+
+@pytest.fixture
+def tiny(monkeypatch):
+    monkeypatch.setattr(bench, "REFINEMENT_CASES", (("ring", 12),))
+    monkeypatch.setattr(bench, "REFINEMENT_BATCH", (12, 2))
 
 
 class TestRunMicrobench:
-    def test_smoke_document_shape(self, tmp_path):
+    def test_smoke_document_shape(self, tiny, tmp_path):
         out = tmp_path / "BENCH_refinement.json"
-        doc = run_microbench(
-            sizes=(12,),
-            topologies=("ring",),
-            batch_n=12,
-            family_size=2,
-            workers=0,
-            output=str(out),
-        )
-        assert out.exists()
+        doc = run_bench("refinement", workers=1, output=str(out))
         assert json.loads(out.read_text()) == doc
-        assert {r["engine"] for r in doc["engine_times"]} == {
-            "literal", "signatures", "worklist"
-        }
-        for row in doc["engine_times"]:
-            assert row["cached_s"] > 0
-            assert row["reference_s"] > 0
-            assert row["classes"] == 24  # marked ring: every node unique
-        batch = doc["batch"]
+        assert set(doc) == {"meta", "determinism", "timings", "ok"}
+        assert doc["ok"] is True
+        cells = doc["determinism"]["cells"]
+        assert {c["engine"] for c in cells} == {"literal", "signatures", "worklist"}
+        for cell in cells:
+            assert cell["classes"] == 24  # marked ring: every node unique
+        batch = doc["determinism"]["batch"]
         assert batch["family_size"] == 2
-        assert batch["serial_uncached_s"] > 0
-        assert batch["batch_cached_s"] > 0
-        assert batch["speedup"] is not None
+        assert batch["distinct"] == 2
+        assert batch["classes"] == [24, 24]
+        for row in doc["timings"]:
+            assert row["elapsed_s"] >= 0
 
-    def test_gates_record_null_not_crash(self):
-        # 150 > the literal gate (100): the literal cells must be null.
-        doc = run_microbench(
-            sizes=(150,),
-            topologies=("ring",),
-            engines=("literal", "worklist"),
-            batch_n=12,
-            family_size=1,
-            workers=0,
-            measure_baseline=False,
-            output=None,
-        )
-        by_engine = {r["engine"]: r for r in doc["engine_times"]}
-        assert by_engine["literal"]["cached_s"] is None
-        assert by_engine["worklist"]["cached_s"] > 0
-        assert doc["batch"]["serial_uncached_s"] is None
-        assert doc["batch"]["speedup"] is None
+    def test_gates_record_null_not_crash(self, monkeypatch):
+        # 150 > the literal gate (100): the literal cell must be null.
+        monkeypatch.setattr(bench, "REFINEMENT_CASES", (("ring", 150),))
+        monkeypatch.setattr(bench, "REFINEMENT_BATCH", (12, 1))
+        doc = run_bench("refinement", workers=1)
+        by_engine = {c["engine"]: c for c in doc["determinism"]["cells"]}
+        assert by_engine["literal"]["classes"] is None
+        assert by_engine["worklist"]["classes"] == 300
+        timings = {r["engine"]: r for r in doc["timings"] if r["case"] == "ring/150"}
+        assert timings["literal"]["elapsed_s"] is None
+        assert timings["worklist"]["elapsed_s"] >= 0
+        # a gated cell does not count against the gate
+        assert doc["ok"] is True
 
-    def test_unknown_topology_rejected(self):
-        with pytest.raises(ValueError, match="unknown topology"):
-            run_microbench(sizes=(5,), topologies=("moebius",), output=None)
-
-    def test_format_renders(self):
-        doc = run_microbench(
-            sizes=(10,),
-            topologies=("ring",),
-            engines=("worklist",),
-            batch_n=10,
-            family_size=1,
-            workers=0,
-            output=None,
-        )
-        text = format_microbench(doc)
+    def test_format_renders(self, tiny):
+        text = format_timings(run_bench("refinement", workers=1))
+        assert "bench refinement" in text
         assert "worklist" in text
-        assert "batch: ring(10)" in text
+        assert "batch ring/12 x2" in text
+        assert text.endswith("ok: yes")

@@ -1,51 +1,65 @@
-"""Smoke tests for the MP fault-delivery microbenchmark."""
+"""Smoke tests for the ``mp_faults`` bench (faulty-channel delivery)."""
 
 import json
 
-from repro.perf.mp_bench import _CONFIGS, format_mp_bench, run_mp_bench
+import pytest
+
+from repro.perf import bench
+from repro.perf.bench import MP_CONFIGS, format_timings, run_bench
+
+
+@pytest.fixture
+def small(monkeypatch):
+    monkeypatch.setattr(bench, "MP_SIZES", (8,))
+    monkeypatch.setattr(bench, "MP_DELIVERIES", 400)
+
+
+def _by_config(doc):
+    return {row["config"]: row for row in doc["determinism"]["rows"]}
 
 
 class TestRunMPBench:
-    def test_smoke_document_shape(self, tmp_path):
+    def test_smoke_document_shape(self, small, tmp_path):
         out = tmp_path / "BENCH_mp_faults.json"
-        doc = run_mp_bench(
-            sizes=(8,), deliveries=400, repeats=1, output=str(out)
-        )
-        assert out.exists()
+        doc = run_bench("mp_faults", output=str(out))
         assert json.loads(out.read_text()) == doc
-        assert set(doc["meta"]) == {"timestamp", "python", "cpu_count"}
-        assert len(doc["rows"]) == len(_CONFIGS)
-        by_config = {r["config"]: r for r in doc["rows"]}
-        assert set(by_config) == set(_CONFIGS)
-        for row in doc["rows"]:
+        # a serial bench: no worker fields in its meta
+        assert set(doc["meta"]) == {"timestamp", "python", "cpu_count", "bench"}
+        assert doc["determinism"]["deliveries"] == 400
+        assert set(_by_config(doc)) == set(MP_CONFIGS)
+        for row in doc["determinism"]["rows"]:
             assert row["n"] == 8
-            assert row["elapsed_s"] > 0
             assert row["deliveries"] > 0
-            assert row["throughput_per_s"] > 0
+        assert len(doc["timings"]) == len(MP_CONFIGS)
+        for row in doc["timings"]:
+            assert row["elapsed_s"] >= 0
+            assert row["deliveries_per_s"] > 0
 
-    def test_fault_free_configs_lose_nothing(self):
-        doc = run_mp_bench(sizes=(6,), deliveries=200, output=None)
-        by_config = {r["config"]: r for r in doc["rows"]}
+    def test_fault_free_configs_lose_nothing(self, small):
+        doc = run_bench("mp_faults")
+        assert doc["ok"] is True
         for name in ("reliable", "faulty-passthrough"):
-            row = by_config[name]
+            row = _by_config(doc)[name]
             assert row["drops"] == 0
             assert row["duplicates"] == 0
             assert row["delayed"] == 0
 
-    def test_lossy_configs_exercise_the_fault_path(self):
-        doc = run_mp_bench(sizes=(8,), deliveries=400, output=None)
-        by_config = {r["config"]: r for r in doc["rows"]}
+    def test_lossy_configs_exercise_the_fault_path(self, small):
+        by_config = _by_config(run_bench("mp_faults"))
         assert by_config["lossy"]["drops"] > 0
         assert by_config["lossy-dup-delay"]["duplicates"] > 0
         assert by_config["lossy-dup-delay"]["delayed"] > 0
 
-    def test_no_output_writes_nothing(self, tmp_path, monkeypatch):
+    def test_no_output_writes_nothing(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(bench, "MP_SIZES", (4,))
+        monkeypatch.setattr(bench, "MP_DELIVERIES", 50)
         monkeypatch.chdir(tmp_path)
-        run_mp_bench(sizes=(4,), deliveries=50, output=None)
+        run_bench("mp_faults", output=None, determinism_output=None)
         assert list(tmp_path.iterdir()) == []
 
-    def test_format_renders(self):
-        doc = run_mp_bench(sizes=(4,), deliveries=50, output=None)
-        text = format_mp_bench(doc)
-        assert "mp fault-delivery microbench" in text
+    def test_format_renders(self, monkeypatch):
+        monkeypatch.setattr(bench, "MP_SIZES", (4,))
+        monkeypatch.setattr(bench, "MP_DELIVERIES", 50)
+        text = format_timings(run_bench("mp_faults"))
+        assert "bench mp_faults" in text
         assert "lossy-dup-delay" in text

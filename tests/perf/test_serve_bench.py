@@ -1,13 +1,10 @@
-"""Smoke and determinism tests for the serving benchmark."""
+"""Smoke and determinism tests for the ``serve`` bench."""
 
 import json
 
-from repro.perf.serve_bench import (
-    build_workload,
-    format_serve_bench,
-    result_digest,
-    run_serve_bench,
-)
+from repro.perf import serve_bench
+from repro.perf.bench import format_timings, run_bench
+from repro.perf.serve_bench import build_workload, result_digest
 
 
 class TestWorkload:
@@ -35,30 +32,36 @@ class TestResultDigest:
 
 
 class TestRunServeBench:
-    def test_smoke_and_acceptance(self, tmp_path):
+    def test_smoke_and_acceptance(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(serve_bench, "REQUESTS", 8)
         out = tmp_path / "BENCH_serve.json"
         det_out = tmp_path / "det.json"
-        doc = run_serve_bench(
-            store_dir=str(tmp_path / "store"),
-            requests=8,
-            seed=7,
+        doc = run_bench(
+            "serve",
+            workers=1,
             output=str(out),
             determinism_output=str(det_out),
+            store=str(tmp_path / "store"),
         )
         assert json.loads(out.read_text()) == doc
+        assert doc["ok"] is True
 
         det = doc["determinism"]
-        # The tentpole acceptance criteria, as data:
+        # The store's contract, as data:
         assert det["warm_witness_cache_misses"] == 0
         assert det["cold_warm_agree"] is True
         assert len(det["results"]) == 8
         assert det["store"]["decisions"] >= 0
         assert sum(det["workload"]["mix"].values()) == 8
+        assert det["workload"]["seed"] == 7
+        assert all(det["hardening"].values()) and len(det["hardening"]) == 5
+        assert all(det["gc"].values()) and len(det["gc"]) == 3
         # Timings present but segregated from the comparable section.
-        for phase in ("cold", "warm"):
-            row = doc["timings"][phase]
+        cold, warm = doc["timings"]
+        assert (cold["case"], warm["case"]) == ("cold", "warm")
+        for row in (cold, warm):
             assert row["p50_ms"] >= 0 and row["p99_ms"] >= row["p50_ms"]
         assert json.loads(det_out.read_text()) == det
 
-        text = format_serve_bench(doc)
-        assert "cold" in text and "warm" in text and "must be 0" in text
+        text = format_timings(doc)
+        assert "cold" in text and "warm" in text and "p99_ms" in text

@@ -1,57 +1,53 @@
-"""Smoke tests for the witness-sweep benchmark harness."""
+"""Smoke tests for the ``witness`` bench (separation-witness sweeps)."""
 
 import json
 
+import pytest
+
 from repro.core.hierarchy import POWER_ORDER
-from repro.perf.witness_bench import (
-    ADJACENT_PAIRS,
-    format_witness_bench,
-    run_witness_bench,
-)
+from repro.perf import bench
+from repro.perf.bench import WITNESS_PAIRS, format_timings, run_bench
+
+
+@pytest.fixture
+def tiny(monkeypatch):
+    monkeypatch.setattr(bench, "WITNESS_PAIRS", (("Q", "L"),))
+    monkeypatch.setattr(
+        bench,
+        "WITNESS_BOUNDS",
+        {"max_processors": 2, "max_names": 1, "max_variables": 2,
+         "allow_marks": False},
+    )
 
 
 class TestRunWitnessBench:
-    def test_smoke_document_shape(self, tmp_path):
+    def test_smoke_document_shape(self, tiny, tmp_path):
         out = tmp_path / "BENCH_witness.json"
-        doc = run_witness_bench(
-            pairs=[("Q", "L")],
-            max_processors=2,
-            max_names=1,
-            max_variables=2,
-            workers=0,
-            output=str(out),
-        )
-        assert out.exists()
+        doc = run_bench("witness", workers=1, output=str(out))
         assert json.loads(out.read_text()) == doc
-        assert doc["all_agree"] is True
-        (row,) = doc["pairs"]
-        assert row["weaker"] == "Q" and row["stronger"] == "L"
-        assert row["witnesses"] >= 1
-        assert row["serial_s"] > 0
-        assert row["sharded_s"] > 0
-        assert row["cached_s"] > 0
-        assert row["agreement"] is True
-        assert row["serial_cache"]["misses"] > 0
+        assert doc["ok"] is True
+        (pair,) = doc["determinism"]["pairs"]
+        assert pair["weaker"] == "Q" and pair["stronger"] == "L"
+        assert len(pair["witnesses"]) >= 1
+        assert all(isinstance(w, str) for w in pair["witnesses"])
+        assert pair["agreement"] is True
+        assert pair["serial_cache_misses"] > 0
         # The warm re-run must answer every decision from the cache.
-        assert row["cached_cache"]["misses"] == 0
-        assert row["cached_cache"]["hit_rate"] == 1.0
+        assert pair["cached_cache_misses"] == 0
+        (row,) = doc["timings"]
+        assert row["case"] == "Q<L"
+        assert row["serial_s"] > 0
+        assert row["pooled_s"] > 0
+        assert row["cached_s"] > 0
 
     def test_adjacent_pairs_cover_power_order(self):
-        assert len(ADJACENT_PAIRS) == len(POWER_ORDER) - 1
+        assert len(WITNESS_PAIRS) == len(POWER_ORDER) - 1
         assert all(
             (weaker, stronger) == (POWER_ORDER[i], POWER_ORDER[i + 1])
-            for i, (weaker, stronger) in enumerate(ADJACENT_PAIRS)
+            for i, (weaker, stronger) in enumerate(WITNESS_PAIRS)
         )
 
-    def test_format_renders(self):
-        doc = run_witness_bench(
-            pairs=[("Q", "L")],
-            max_processors=2,
-            max_names=1,
-            max_variables=1,
-            workers=0,
-            output=None,
-        )
-        text = format_witness_bench(doc)
+    def test_format_renders(self, tiny):
+        text = format_timings(run_bench("witness", workers=1))
         assert "Q<L" in text
-        assert "all lists agree: yes" in text
+        assert text.endswith("ok: yes")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -143,6 +144,89 @@ class TestMerge:
         with ContentStore(root) as fresh:
             assert fresh.get("ns", b"k") == {"members": ["x", "y"]}
             assert fresh.stats.hits == 1
+
+
+class TestThreads:
+    """One handle shared by two threads, as the service's event loop
+    (flush after every wave) and engine thread (puts, auto-flushes)
+    share it."""
+
+    @staticmethod
+    def _union_store(root):
+        store = ContentStore(root)
+        store.register_merge(
+            "ns",
+            lambda old, new: {"items": sorted(set(old["items"]) | set(new["items"]))},
+        )
+        return store
+
+    def test_overlapping_flushes_keep_the_newer_value(self, tmp_path):
+        """A flush that read the entry's file before another thread
+        staged and flushed a newer value must not write its older merge
+        over that value."""
+        root = str(tmp_path / "s")
+        store = self._union_store(root)
+        store.put("ns", b"k", {"items": [1]})
+        real_read = store._read
+        racer = threading.Thread(
+            target=lambda: (store.put("ns", b"k", {"items": [1, 2]}), store.flush())
+        )
+
+        def read_then_race(namespace, digest, key):
+            existing = real_read(namespace, digest, key)
+            if racer.ident is None:  # first read only
+                racer.start()
+                racer.join(timeout=0.5)  # blocks for the timeout if locked out
+            return existing
+
+        store._read = read_then_race
+        store.flush()
+        racer.join(timeout=10)
+        assert not racer.is_alive()
+        store._read = real_read
+        with ContentStore(root) as fresh:
+            assert fresh.get("ns", b"k") == {"items": [1, 2]}
+
+    def test_put_and_flush_threads_lose_nothing(self, tmp_path):
+        """Stress: one thread stages ever-growing values (auto-flushing),
+        two more flush in a loop; every staged item must reach disk."""
+        root = str(tmp_path / "s")
+        store = self._union_store(root)
+        store.flush_every = 4
+        keys = [b"k%d" % i for i in range(4)]
+        puts = 400
+        done = threading.Event()
+
+        def writer():
+            grown = {key: [] for key in keys}
+            for i in range(puts):
+                key = keys[i % len(keys)]
+                grown[key].append(i)
+                store.put("ns", key, {"items": list(grown[key])})
+            done.set()
+
+        def flusher():
+            while not done.is_set():
+                store.flush()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fn)
+                       for fn in (writer, flusher, flusher)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        store.flush()
+        with ContentStore(root) as fresh:
+            for n, key in enumerate(keys):
+                assert fresh.get("ns", key) == {
+                    "items": list(range(n, puts, len(keys)))
+                }
 
 
 class TestQuarantine:

@@ -102,14 +102,17 @@ class TestBatch:
 
 
 class TestBench:
-    def test_bench_smoke(self, tmp_path, capsys):
+    @pytest.fixture
+    def tiny_refinement(self, monkeypatch):
+        from repro.perf import bench
+
+        monkeypatch.setattr(bench, "REFINEMENT_CASES", (("ring", 10),))
+        monkeypatch.setattr(bench, "REFINEMENT_BATCH", (10, 1))
+
+    def test_bench_smoke(self, tiny_refinement, tmp_path, capsys):
         out_file = tmp_path / "BENCH_refinement.json"
         assert main([
-            "bench",
-            "--sizes", "10",
-            "--topologies", "ring",
-            "--batch-n", "10",
-            "--family-size", "1",
+            "bench", "refinement",
             "--workers", "1",
             "--output", str(out_file),
         ]) == 0
@@ -117,28 +120,113 @@ class TestBench:
         assert "worklist" in out
         assert out_file.exists()
 
-    def test_bench_bad_sizes_rejected(self):
-        with pytest.raises(SystemExit, match="comma-separated integers"):
-            main(["bench", "--sizes", "abc", "--output", ""])
-
-    def test_bench_unknown_topology_rejected(self):
-        with pytest.raises(SystemExit, match="unknown topology"):
-            main(["bench", "--sizes", "10", "--topologies", "moebius",
-                  "--output", ""])
-
-    def test_bench_no_output(self, capsys):
-        assert main([
-            "bench",
-            "--sizes", "10",
-            "--topologies", "ring",
-            "--batch-n", "10",
-            "--family-size", "1",
-            "--workers", "1",
-            "--skip-baseline",
-            "--output", "",
-        ]) == 0
+    def test_bench_no_output(self, tiny_refinement, capsys):
+        assert main(["bench", "refinement", "--workers", "1", "--output", ""]) == 0
         out = capsys.readouterr().out
         assert "written:" not in out
+
+    def test_default_output_is_named_after_the_bench(self, monkeypatch, tmp_path):
+        from repro.perf import bench
+
+        monkeypatch.setattr(bench, "MP_SIZES", (4,))
+        monkeypatch.setattr(bench, "MP_DELIVERIES", 50)
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "mp_faults"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_mp_faults.json"]
+
+    def test_unknown_bench_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "microbench"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [
+        "refinement", "mp_faults", "witness", "explore", "parametric", "serve",
+    ])
+    def test_failed_gate_exits_one(self, name, monkeypatch, tmp_path, capsys):
+        """Each bench shrunk to a tiny case, its engine result forced
+        wrong: the bench must report ``ok: NO`` and exit 1."""
+        _tiny_failing_bench(name, monkeypatch)
+        det = tmp_path / "det.json"
+        assert main([
+            "bench", name, "--workers", "1", "--output", "",
+            "--determinism-output", str(det),
+            "--store", str(tmp_path / "store"),
+        ]) == 1
+        assert capsys.readouterr().out.splitlines()[-2] == "ok: NO"
+        assert det.exists()
+
+
+def _tiny_failing_bench(name, monkeypatch):
+    """Shrink bench ``name`` to one tiny case and corrupt one engine
+    result so that its gate fails."""
+    from dataclasses import replace
+
+    from repro.analysis.explore import ExploreSpec
+    from repro.messaging.mp_faults import ChannelFaults
+    from repro.perf import bench, serve_bench
+
+    if name == "refinement":
+        monkeypatch.setattr(bench, "REFINEMENT_CASES", (("ring", 6),))
+        monkeypatch.setattr(bench, "REFINEMENT_BATCH", (6, 1))
+        real = bench.compute_similarity_labeling
+
+        def off_by_one(system, engine="worklist", **kwargs):
+            result = real(system, engine=engine, **kwargs)
+            if engine != "literal":
+                return result
+            return replace(
+                result, stats=replace(result.stats, classes=result.stats.classes + 1)
+            )
+
+        monkeypatch.setattr(bench, "compute_similarity_labeling", off_by_one)
+    elif name == "mp_faults":
+        monkeypatch.setattr(bench, "MP_SIZES", (4,))
+        monkeypatch.setattr(bench, "MP_DELIVERIES", 200)
+        monkeypatch.setitem(bench.MP_CONFIGS, "reliable", ChannelFaults(drop=0.5))
+    elif name == "witness":
+        monkeypatch.setattr(bench, "WITNESS_PAIRS", (("Q", "L"),))
+        monkeypatch.setattr(bench, "WITNESS_BOUNDS", {
+            "max_processors": 2, "max_names": 1, "max_variables": 2,
+            "allow_marks": False,
+        })
+        real = bench.run_sweep
+
+        def pooled_loses_one(spec, workers=None, cache=None):
+            result = real(spec, workers=0, cache=cache)
+            if workers:
+                return replace(result, witnesses=result.witnesses[1:])
+            return result
+
+        monkeypatch.setattr(bench, "run_sweep", pooled_loses_one)
+    elif name == "explore":
+        monkeypatch.setattr(bench, "EXPLORE_CASES", ((
+            "dp4-deadlock",
+            ExploreSpec(
+                scenario={"topology": "dining", "size": 4,
+                          "program": "left-first"},
+                max_depth=8,
+                invariants=("exclusion",),
+            ),
+        ),))
+        real = bench.run_explore
+
+        def pooled_misses_it(spec, workers=None):
+            result = real(spec, workers=0)
+            return replace(result, violation=None) if workers else result
+
+        monkeypatch.setattr(bench, "run_explore", pooled_misses_it)
+    elif name == "parametric":
+        monkeypatch.setattr(bench, "PARAMETRIC_CASES", (("ring", "lockstep"),))
+        monkeypatch.setattr(bench, "run_parametric", lambda family, prop: {
+            "verify_cutoff": {"confirmed": False},
+        })
+    else:
+        monkeypatch.setattr(serve_bench, "REQUESTS", 4)
+        calls = iter(range(10**6))
+        # every digest distinct: the warm answers cannot match the cold
+        monkeypatch.setattr(serve_bench, "result_digest",
+                            lambda _result: str(next(calls)))
 
 
 class TestWitness:
@@ -185,23 +273,25 @@ class TestWitness:
 
 
 class TestBenchWitness:
-    def test_bench_witness_smoke(self, tmp_path, capsys):
+    def test_bench_witness_smoke(self, monkeypatch, tmp_path, capsys):
+        from repro.perf import bench
+
+        monkeypatch.setattr(bench, "WITNESS_PAIRS", (("Q", "L"),))
+        monkeypatch.setattr(bench, "WITNESS_BOUNDS", {
+            "max_processors": 2, "max_names": 1, "max_variables": 2,
+            "allow_marks": False,
+        })
         out_file = tmp_path / "BENCH_witness.json"
         assert main([
-            "bench-witness",
-            "--pairs", "Q<L",
-            "--max-processors", "2", "--max-names", "1",
+            "bench", "witness",
             "--workers", "1",
             "--output", str(out_file),
         ]) == 0
         text = capsys.readouterr().out
-        assert "witness-sweep bench" in text
-        assert "all lists agree: yes" in text
+        assert "bench witness" in text
+        assert "Q<L" in text
+        assert "ok: yes" in text
         assert out_file.exists()
-
-    def test_bad_pairs_rejected(self):
-        with pytest.raises(SystemExit, match="WEAKER<STRONGER"):
-            main(["bench-witness", "--pairs", "QL", "--output", ""])
 
 
 class TestExplore:
@@ -263,9 +353,10 @@ class TestExplore:
 class TestBenchExplore:
     def test_parser_wiring(self):
         args = build_parser().parse_args(
-            ["bench-explore", "--workers", "1", "--output", ""]
+            ["bench", "explore", "--workers", "1", "--output", ""]
         )
-        assert args.func.__name__ == "cmd_bench_explore"
+        assert args.func.__name__ == "cmd_bench"
+        assert args.name == "explore"
         assert args.workers == 1
 
 
@@ -285,19 +376,19 @@ class TestWorkersValidation:
     """Every --workers flag rejects 0 and negatives with a clean
     argparse error (exit code 2), everywhere."""
 
-    SUBCOMMANDS = [
-        ["batch", "ring", "6"],
-        ["bench"],
-        ["witness", "Q", "L"],
-        ["bench-witness"],
-        ["explore", "ring", "3"],
-        ["bench-explore"],
-        ["serve"],
-        ["bench-serve"],
-    ]
+    SUBCOMMANDS = {
+        "batch": ["batch", "ring", "6"],
+        "bench": ["bench", "refinement"],
+        "witness": ["witness", "Q", "L"],
+        "bench-witness": ["bench", "witness"],
+        "explore": ["explore", "ring", "3"],
+        "bench-explore": ["bench", "explore"],
+        "serve": ["serve"],
+        "bench-serve": ["bench", "serve"],
+    }
 
-    @pytest.mark.parametrize("argv", SUBCOMMANDS,
-                             ids=[c[0] for c in SUBCOMMANDS])
+    @pytest.mark.parametrize("argv", list(SUBCOMMANDS.values()),
+                             ids=list(SUBCOMMANDS))
     @pytest.mark.parametrize("bad", ["0", "-1"])
     def test_zero_and_negative_rejected(self, argv, bad, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -305,8 +396,8 @@ class TestWorkersValidation:
         assert exc.value.code == 2
         assert ">= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", SUBCOMMANDS,
-                             ids=[c[0] for c in SUBCOMMANDS])
+    @pytest.mark.parametrize("argv", list(SUBCOMMANDS.values()),
+                             ids=list(SUBCOMMANDS))
     def test_non_integer_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv + ["--workers", "many"])
@@ -332,10 +423,11 @@ class TestServeParsers:
 
     def test_bench_serve_wiring(self):
         args = build_parser().parse_args(
-            ["bench-serve", "--requests", "8", "--seed", "3", "--output", ""]
+            ["bench", "serve", "--store", "/tmp/s", "--output", ""]
         )
-        assert args.func.__name__ == "cmd_bench_serve"
-        assert args.requests == 8 and args.seed == 3
+        assert args.func.__name__ == "cmd_bench"
+        assert args.name == "serve" and args.store == "/tmp/s"
+        assert args.output == "" and args.determinism_output is None
 
     def test_serve_hardening_flags_wiring(self):
         args = build_parser().parse_args(
@@ -444,16 +536,12 @@ class TestParametric:
 
 
 class TestBenchParametric:
-    def test_single_case(self, capsys, tmp_path):
+    def test_single_case(self, monkeypatch, capsys, tmp_path):
+        from repro.perf import bench
+
+        monkeypatch.setattr(bench, "PARAMETRIC_CASES", (("ring", "lockstep"),))
         out_path = tmp_path / "BENCH_parametric.json"
-        assert main([
-            "bench-parametric", "--cases", "ring/lockstep",
-            "--output", str(out_path),
-        ]) == 0
+        assert main(["bench", "parametric", "--output", str(out_path)]) == 0
         out = capsys.readouterr().out
         assert "ring/lockstep" in out
         assert out_path.exists()
-
-    def test_malformed_cases_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["bench-parametric", "--cases", "ring-lockstep"])
