@@ -27,10 +27,14 @@ job with the same observable behavior:
   shard they pick up; each finished shard returns only its journal of
   *new* decisions, which the parent folds in and checkpoints — no
   per-wave snapshot/merge barriers.
-* **Sharded dedup** -- the single unbounded ``seen`` dict of the serial
-  loop is replaced by a hash-partitioned :class:`DedupIndex` whose
-  partitions are dropped with their shard, plus a final cross-shard
-  dedup pass over the (few) surviving witnesses.
+* **Sharded dedup** -- each shard dedups its candidates in its own
+  :class:`DedupIndex` (form-keyed buckets confirmed by the exact
+  matcher), dropped with the shard, and a final cross-shard pass runs
+  one more over the (few) surviving witnesses.
+* **One form per system** -- every candidate's canonical form is
+  computed once (:attr:`repro.core.system.System.iso_form`) and shared
+  by the dedup index, the decision cache and every
+  :func:`are_isomorphic` check that confirms a bucket hit.
 * **Checkpointed streaming** -- each finished shard appends one JSONL
   line (records + decisions + counters) to an optional checkpoint file;
   an interrupted sweep resumes without re-deciding finished shards.
@@ -54,7 +58,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from itertools import product
@@ -63,7 +66,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..core.encoding import encode_value, form_from_wire, form_to_wire
 from ..core.hierarchy import MODEL_AXIS
 from ..core.network import Network
-from ..core.quotient import are_isomorphic, canonical_form
+from ..core.quotient import are_isomorphic
 from ..core.selection import decide_selection
 from ..core.system import InstructionSet, ScheduleClass, System
 from ..exceptions import WitnessSearchError
@@ -135,6 +138,11 @@ class SweepSpec:
     ``limit=None`` exhausts the bounded space; an integer stops the
     (merged, deduplicated) witness list at that many entries, matching
     the serial searcher's ``limit`` semantics exactly.
+
+    The three bounds and a non-None ``limit`` must be ints >= 1 and
+    ``allow_marks`` a bool; anything else is a
+    :class:`~repro.exceptions.WitnessSearchError` naming the field, so a
+    spec from the wire fails here rather than deep inside the sweep.
     """
 
     weaker: str
@@ -152,6 +160,20 @@ class SweepSpec:
                     f"unknown model label {label!r}; pick from "
                     f"{sorted(_MODEL_BY_NAME)}"
                 )
+        counts = {
+            "max_processors": self.max_processors,
+            "max_names": self.max_names,
+            "max_variables": self.max_variables,
+        }
+        if self.limit is not None:
+            counts["limit"] = self.limit
+        for name, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise WitnessSearchError(f"{name} must be an int >= 1, got {value!r}")
+        if not isinstance(self.allow_marks, bool):
+            raise WitnessSearchError(
+                f"allow_marks must be a bool, got {self.allow_marks!r}"
+            )
 
     @property
     def weak_model(self) -> Tuple[InstructionSet, ScheduleClass]:
@@ -196,8 +218,10 @@ class SweepSpec:
 def _candidate_form(probe: System) -> bytes:
     """The byte-encoded canonical form of a candidate: the cache/dedup
     key.  Encoded bytes are hash-seed independent and compare by content,
-    not by how ``repr`` spells the nested form tuple."""
-    return encode_value(canonical_form(probe))
+    not by how ``repr`` spells the nested form tuple.  The form comes
+    from :attr:`System.iso_form`, so the :func:`are_isomorphic` checks
+    that confirm a bucket hit reuse it instead of recomputing it."""
+    return encode_value(probe.iso_form)
 
 
 class _CacheEntry:
@@ -441,34 +465,29 @@ def _merge_decision_docs(existing: dict, new: dict) -> dict:
 
 
 class DedupIndex:
-    """Hash-partitioned isomorphism dedup for one shard's lifetime.
+    """Isomorphism dedup: one dict from byte-encoded canonical form to the
+    candidates indexed under it.
 
-    Buckets candidates by byte-encoded canonical form into ``partitions``
-    separate dicts (the partition is a CRC of the form bytes — already
-    hash-seed independent, so layouts agree across processes) and settles
-    form collisions with the exact matcher.  Each shard owns one index
-    and drops it when the shard completes, bounding resident dedup state
-    by the shard -- not the sweep -- size; the engine's merge pass dedups
-    the surviving witnesses across shards.
+    A form collision is settled with the exact matcher.  Each shard owns
+    one index and drops it when the shard completes, bounding resident
+    dedup state by the shard -- not the sweep -- size; the engine's merge
+    pass runs one more over the surviving witnesses across shards.
     """
 
-    def __init__(self, partitions: int = 16) -> None:
-        self._parts: List[Dict[bytes, List[System]]] = [
-            {} for _ in range(max(1, partitions))
-        ]
+    def __init__(self) -> None:
+        self._buckets: Dict[bytes, List[System]] = {}
 
     def seen_before(self, form: bytes, probe: System) -> bool:
         """True if an isomorphic candidate was indexed earlier; indexes
         ``probe`` otherwise."""
-        part = self._parts[zlib.crc32(form) % len(self._parts)]
-        bucket = part.setdefault(form, [])
+        bucket = self._buckets.setdefault(form, [])
         if any(are_isomorphic(probe, prior) for prior in bucket):
             return True
         bucket.append(probe)
         return False
 
     def __len__(self) -> int:
-        return sum(len(b) for part in self._parts for b in part.values())
+        return sum(len(bucket) for bucket in self._buckets.values())
 
 
 # ----------------------------------------------------------------------
@@ -691,18 +710,14 @@ def _merge_results(
     exactly the serial searcher's global-dedup semantics."""
     w_iset, w_sched = spec.weak_model
     kept: List[WitnessRecord] = []
-    kept_probes: Dict[bytes, List[System]] = {}
+    dedup = DedupIndex()
     for records in per_shard:
         for record in records:
-            probe = record.system(w_iset, w_sched)
-            form = _candidate_form(probe)
-            bucket = kept_probes.setdefault(form, [])
-            if any(are_isomorphic(probe, prior) for prior in bucket):
-                continue
-            bucket.append(probe)
-            kept.append(record)
             if spec.limit is not None and len(kept) >= spec.limit:
                 return kept
+            probe = record.system(w_iset, w_sched)
+            if not dedup.seen_before(_candidate_form(probe), probe):
+                kept.append(record)
     return kept
 
 

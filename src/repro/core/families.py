@@ -130,16 +130,43 @@ class Family:
         return self.elite() is not None
 
 
+def unique_versions(
+    versions: Sequence[Labeling],
+    processors: Sequence[NodeId],
+) -> List[Labeling]:
+    """``versions`` without duplicates, first occurrences in order.
+
+    Two versions are duplicates when they induce the same partition and
+    give every processor the same label.  Each version is keyed by its
+    :meth:`~repro.core.labeling.Labeling.partition_shape` over the first
+    version's node order plus its processor labels, so one set lookup
+    replaces a scan over every earlier version.
+
+    Raises:
+        LabelingError: if the versions cover different node sets.
+    """
+    order = tuple(versions[0]) if versions else ()
+    kept: List[Labeling] = []
+    seen: set = set()
+    for v in versions:
+        key = (v.partition_shape(order), tuple(v[p] for p in processors))
+        if key not in seen:
+            seen.add(key)
+            kept.append(v)
+    return kept
+
+
 def elite_by_theorem9_greedy(
     versions: Sequence[Labeling],
     processors: Sequence[NodeId],
 ) -> FrozenSet[Hashable]:
     """The greedy ELITE construction from the proof of Theorem 9.
 
-    ``versions`` are (deduplicated) similarity labelings of the members of
-    a homogeneous family, over the common processor set ``processors``.
-    Repeatedly pick a version none of whose processor labels is in ELITE,
-    pick one of its uniquely labeled processors, and add that label.
+    ``versions`` are similarity labelings of the members of a homogeneous
+    family, over the common processor set ``processors``; duplicates are
+    dropped first (:func:`unique_versions`).  Repeatedly pick a version
+    none of whose processor labels is in ELITE, pick one of its uniquely
+    labeled processors, and add that label.
 
     Raises:
         SelectionError: if some pending version has no uniquely labeled
@@ -147,23 +174,15 @@ def elite_by_theorem9_greedy(
             selection algorithm.
     """
     elite: set = set()
-    unique_versions: List[Labeling] = []
-    seen_partitions: List[Labeling] = []
-    for v in versions:
-        if not any(v.same_partition(w) and all(v[p] == w[p] for p in processors)
-                   for w in seen_partitions):
-            seen_partitions.append(v)
-            unique_versions.append(v)
-
-    while True:
-        pending = [
-            v
-            for v in unique_versions
-            if all(v[p] not in elite for p in processors)
-        ]
-        if not pending:
-            break
-        psi = pending[0]
+    # A version is pending while none of its processor labels is in
+    # ELITE.  ELITE only grows, so each added label just filters the
+    # pending list instead of rescanning every version.
+    pending = [
+        (v, {v[p] for p in processors})
+        for v in unique_versions(versions, processors)
+    ]
+    while pending:
+        psi = pending[0][0]
         uniquely = [
             p
             for p in processors
@@ -174,8 +193,9 @@ def elite_by_theorem9_greedy(
                 "a version labels every processor non-uniquely; "
                 "no selection algorithm exists for this family"
             )
-        p = sorted(uniquely, key=repr)[0]
-        elite.add(psi[p])
+        label = psi[sorted(uniquely, key=repr)[0]]
+        elite.add(label)
+        pending = [(v, labels) for v, labels in pending if label not in labels]
     return frozenset(elite)
 
 

@@ -139,6 +139,24 @@ class Labeling:
         """True if both labelings induce the same partition of nodes."""
         return self.refines(other) and other.refines(self)
 
+    def partition_shape(self, order: Tuple[NodeId, ...]) -> Tuple[int, ...]:
+        """The partition as a hashable key: each node's block number, in
+        ``order``, with blocks numbered by first occurrence.
+
+        ``order`` must list exactly this labeling's nodes.  For one fixed
+        ``order``, two labelings have equal shapes iff
+        :meth:`same_partition` holds, so a set of shapes replaces a
+        pairwise scan.
+        """
+        if len(order) != len(self._assignment) or not all(
+            node in self._assignment for node in order
+        ):
+            raise LabelingError("labelings cover different node sets")
+        first: Dict[Label, int] = {}
+        return tuple(
+            first.setdefault(self._assignment[node], len(first)) for node in order
+        )
+
     def meet(self, other: "Labeling") -> "Labeling":
         """The coarsest common refinement (pairwise label product)."""
         if set(self._assignment) != set(other._assignment):

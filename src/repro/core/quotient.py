@@ -173,7 +173,9 @@ def canonical_form(system: System) -> Hashable:
     distinguish everything the similarity structure distinguishes.
 
     Used as the fast filter inside :func:`are_isomorphic`; the exact
-    decision is made by the automorphism matcher.
+    decision is made by the automorphism matcher.  Callers that test one
+    system many times read it through :attr:`System.iso_form
+    <repro.core.system.System.iso_form>`, which computes it once.
     """
     theta = compute_similarity_labeling(system).labeling
     q = quotient_system(system, theta)
@@ -227,30 +229,6 @@ def canonical_form(system: System) -> Hashable:
     return (class_multiset, edge_multiset)
 
 
-def _component_systems(system: System) -> list:
-    """The connected components with processors, as standalone systems.
-
-    Components that are a single isolated variable are dropped (they are
-    matched by state multisets in :func:`are_isomorphic`).
-    """
-    net = system.network
-    out = []
-    for component in net.connected_components:
-        procs = [p for p in component if net.is_processor(p)]
-        if not procs:
-            continue
-        sub = net.induced_subnetwork(procs)
-        out.append(
-            System(
-                sub,
-                {n: system.state0(n) for n in sub.nodes},
-                system.instruction_set,
-                system.schedule_class,
-            )
-        )
-    return out
-
-
 def are_isomorphic(a: System, b: System) -> bool:
     """Exact isomorphism of systems (structure, names, initial states).
 
@@ -280,7 +258,7 @@ def are_isomorphic(a: System, b: System) -> bool:
         return Counter(a.state0(v) for v in a.variables) == Counter(
             b.state0(v) for v in b.variables
         )
-    if canonical_form(a) != canonical_form(b):
+    if a.iso_form != b.iso_form:
         return False
     # Isolated variables never appear in the edge-forced part of an
     # automorphism; they pair up iff their state multisets agree.
@@ -290,12 +268,14 @@ def are_isomorphic(a: System, b: System) -> bool:
         b.state0(v) for v in isolated_b
     ):
         return False
-    components_a = _component_systems(a)
+    components_a = a.components
     if len(components_a) > 1:
         # Greedy multiset matching is exact here: isomorphism is an
         # equivalence, so any component pairing that works locally
-        # extends to a global one.
-        remaining = _component_systems(b)
+        # extends to a global one.  ``remaining`` is a fresh list: the
+        # matched components are deleted from it, and ``b.components``
+        # is shared by every later test of ``b``.
+        remaining = list(b.components)
         if len(components_a) != len(remaining):
             return False
         for comp_a in components_a:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
 
 from ..exceptions import SystemError_
 from .names import Name, NodeId, State
@@ -176,6 +176,28 @@ class System:
         sub = self._network.induced_subnetwork(processors)
         state = {node: self._state0[node] for node in sub.nodes}
         return System(sub, state, self._instruction_set, self._schedule_class)
+
+    @cached_property
+    def components(self) -> Tuple["System", ...]:
+        """The connected components that hold processors, as standalone
+        systems, computed once.  A component that is a single isolated
+        variable is left out."""
+        net = self._network
+        out = []
+        for component in net.connected_components:
+            procs = [node for node in component if net.is_processor(node)]
+            if procs:
+                out.append(self.induced_subsystem(procs))
+        return tuple(out)
+
+    @cached_property
+    def iso_form(self) -> Hashable:
+        """:func:`repro.core.quotient.canonical_form` of this system,
+        computed once: the system is immutable, so every isomorphism test
+        and form-keyed index can share one form."""
+        from . import quotient
+
+        return quotient.canonical_form(self)
 
     def disjoint_union(self, other: "System", tags: Tuple[str, str] = ("A", "B")) -> "System":
         """The union system of Section 5 (generally unconnected).

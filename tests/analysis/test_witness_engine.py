@@ -48,6 +48,30 @@ class TestSweepSpec:
         spec = SweepSpec("Q", "L", allow_marks=True, limit=3)
         assert SweepSpec.from_json(spec.to_json()) == spec
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_processors", "3"),
+            ("max_variables", 2.5),
+            ("limit", "x"),
+            ("max_names", 0),
+            ("allow_marks", "yes"),
+            ("limit", 0),
+            ("max_processors", True),
+        ],
+        ids=["processors-str", "variables-float", "limit-str", "names-zero",
+             "marks-str", "limit-zero", "processors-bool"],
+    )
+    def test_malformed_field_rejected(self, field, value):
+        """A bad bound fails at construction, naming its field, instead of
+        as a TypeError inside the sweep (or, for ``limit=0``, as a serial
+        run returning no witness where a pooled one returned one)."""
+        with pytest.raises(WitnessSearchError, match=field):
+            SweepSpec("Q", "L", **{field: value})
+        doc = dict(SweepSpec("Q", "L").to_json(), **{field: value})
+        with pytest.raises(WitnessSearchError, match=field):
+            SweepSpec.from_json(doc)
+
 
 class TestWitnessRecord:
     def test_json_roundtrip(self):
@@ -125,6 +149,28 @@ class TestAgreement:
         assert descriptions(serial) == descriptions(sharded)
         if limit is not None:
             assert len(serial.records) <= limit
+
+
+class TestFormMemo:
+    def test_sweep_computes_each_form_once_per_system(self, monkeypatch):
+        """Every canonical form the sweep needs -- dedup buckets, cache
+        buckets, the merge pass and each ``are_isomorphic`` confirmation
+        -- comes from one computation per ``System`` object."""
+        import repro.core.quotient as quotient
+
+        computed = []  # the systems themselves, so no id is reused
+        original = quotient.canonical_form
+
+        def counting(system):
+            computed.append(system)
+            return original(system)
+
+        monkeypatch.setattr(quotient, "canonical_form", counting)
+        for weaker, stronger in (("bounded-fair-S", "Q"), ("L", "L2")):
+            run_sweep(SweepSpec(weaker, stronger, **SMALL), workers=0)
+        ids = [id(system) for system in computed]
+        assert ids
+        assert len(ids) == len(set(ids))
 
 
 class TestDecisionCache:

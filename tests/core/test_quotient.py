@@ -149,6 +149,23 @@ class TestDisconnectedIsomorphism:
         )
         assert not are_isomorphic(a, b)
 
+    def test_repeated_tests_reuse_components_intact(self):
+        # Regression for the component memo: the matcher deletes matched
+        # components from its working list, which must be a copy of the
+        # tuple every later test of ``b`` reads.
+        a = self._sys(
+            {"p0": {"n": "v0"}, "p1": {"n": "v0"}, "p2": {"n": "v1"}}
+        )
+        b = self._sys(
+            {"q0": {"n": "w1"}, "q1": {"n": "w0"}, "q2": {"n": "w1"}}
+        )
+        assert len(b.components) == 2
+        for _ in range(3):
+            assert are_isomorphic(a, b)
+            assert are_isomorphic(b, a)
+        assert len(b.components) == 2
+        assert a.iso_form == canonical_form(a)
+
     def test_permuted_components_match(self):
         # same component multiset listed in a different order
         a = self._sys(

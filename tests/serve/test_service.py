@@ -125,10 +125,14 @@ class TestErrors:
             ({"op": "explore", "spec": dict(EXPLORE, split_depth=2)},
              "split_depth"),
             ({"op": "witness", "spec": dict(WITNESS, shards=3)}, "shards"),
+            ({"op": "witness", "spec": dict(WITNESS, max_processors="3")},
+             "max_processors"),
+            ({"op": "witness", "spec": dict(WITNESS, limit=0)}, "limit"),
         ],
         ids=["size-not-int", "marks-not-list", "unknown-engine",
              "max-depth-str", "workers-str", "explore-unknown-key",
-             "witness-unknown-key"],
+             "witness-unknown-key", "witness-processors-str",
+             "witness-limit-zero"],
     )
     def test_malformed_request_fails_only_itself(self, bad, named):
         """A request that fails with any exception — not only a
