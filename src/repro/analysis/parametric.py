@@ -70,7 +70,12 @@ from ..core.quotient import quotient_system
 from ..core.refinement import compute_similarity_labeling
 from ..core.system import System
 from ..exceptions import ParametricError
-from .explore import ExploreSpec, explore_with_profiles, run_explore
+from .explore import (
+    ExploreResult,
+    ExploreSpec,
+    explore_with_profiles,
+    run_explore,
+)
 
 #: Default counter-abstraction threshold: counts 0 and 1 stay exact,
 #: anything larger is "many" -- the classic 0/1/∞ counter abstraction.
@@ -487,16 +492,20 @@ class CutoffCertificate:
         }
 
 
-def _explore_size(
+def _size_record(
     family: TopologyFamily,
-    prop: PropertySpec,
+    spec: ExploreSpec,
     n: int,
     omega: int,
     structure_depth: int,
+    result: ExploreResult,
 ) -> SizeRecord:
-    spec = member_explore_spec(family, prop, n)
-    # Verdict run: the property's own depth rule, symmetry-reduced.
-    result = run_explore(spec, workers=0)
+    """The record of size ``n`` from its verdict run ``result``.
+
+    ``spec`` is the member's exploration spec; ``result`` is a run of it
+    at the property's own depth rule — symmetry-reduced in detection,
+    unreduced in verification — and supplies the verdict.
+    """
     violation_kind = None if result.violation is None else result.violation.kind
     # Structure run: fixed depth, so the abstract profile set can
     # stabilize across sizes (see the module docstring).
@@ -577,7 +586,12 @@ def detect_cutoff(
     sizes = family.sizes(max_sizes, start)
     records: List[SizeRecord] = []
     for i, n in enumerate(sizes):
-        records.append(_explore_size(family, prop, n, omega, structure_depth))
+        spec = member_explore_spec(family, prop, n)
+        # Verdict run: the property's own depth rule, symmetry-reduced.
+        verdict_run = run_explore(spec, workers=0)
+        records.append(
+            _size_record(family, spec, n, omega, structure_depth, verdict_run)
+        )
         _check_claim_shape(prop, records[-1])
         # stabilized at index i0 if records i0..i0+period-1 each match
         # the record one period later -- needs i >= i0 + 2*period - 1
@@ -621,8 +635,10 @@ def verify_cutoff(
     (``cutoff + step``, ``cutoff + 2*step``, ...), (a) a fresh
     *unreduced* exploration (exact dedup, no symmetry reduction -- a
     different engine mode than detection used) must reproduce the
-    certified verdict and violation kind, and (b) a fresh profile run
-    must land on the stable fingerprint of the matching residue.
+    certified verdict and violation kind, and (b) a fresh profile run,
+    fingerprinted with that unreduced verdict, must land on the stable
+    fingerprint of the matching residue.  Each size thus runs one
+    verdict search and one structure search.
     Returns ``None`` on success or a message naming the first mismatch
     (the :func:`repro.analysis.explore.verify_counterexample`
     convention).
@@ -641,8 +657,9 @@ def verify_cutoff(
                 f"certificate promises {certificate.verdict!r} "
                 f"({certificate.violation_kind!r})"
             )
-        record = _explore_size(
-            family, prop, n, certificate.omega, certificate.structure_depth
+        record = _size_record(
+            family, spec, n, certificate.omega, certificate.structure_depth,
+            unreduced,
         )
         index = (n - certificate.cutoff) // certificate.step
         expected = certificate.stable_fingerprints[index % certificate.period]

@@ -588,7 +588,6 @@ def cmd_serve(args) -> int:
     service = AnalysisService(
         store_dir=args.store,
         engine_workers=0 if workers <= 1 else workers,
-        batch_window=args.batch_window,
         default_deadline=args.deadline,
         store_max_bytes=args.store_max_bytes,
     )
@@ -979,8 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="BYTES",
                        help="store size cap; flush evicts least-recently-"
                             "used entries past it (default: unbounded)")
-    serve.add_argument("--batch-window", type=float, default=0.01,
-                       help="request-coalescing window in seconds")
     serve.set_defaults(func=cmd_serve)
 
     bench = sub.add_parser(

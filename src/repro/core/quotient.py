@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
-from .automorphism import find_automorphism
+from .automorphism import _find_in_context, _MatcherContext
 from .labeling import Labeling
 from .names import Name, State
 from .refinement import compute_similarity_labeling
@@ -235,11 +235,13 @@ def are_isomorphic(a: System, b: System) -> bool:
     Decided with the automorphism matcher on the disjoint union: ``a`` and
     ``b`` are isomorphic iff the union has an automorphism swapping the
     two sides, which we find by pinning one processor of ``a`` to each
-    candidate processor of ``b``.  The side-swap check covers both node
-    kinds: every processor *and* every edge-connected variable of ``a``
-    must land on the ``b`` side.  Isolated variables (declared without
-    edges) are matched separately by their initial-state multisets, since
-    any state-preserving bijection between them extends an automorphism.
+    candidate processor of ``b``; all candidates share one matcher
+    context, so the union is refined once.  The side-swap check covers
+    both node kinds: every processor *and* every edge-connected variable
+    of ``a`` must land on the ``b`` side.  Isolated variables (declared
+    without edges) are matched separately by their initial-state
+    multisets, since any state-preserving bijection between them extends
+    an automorphism.
 
     Disconnected systems are matched component-by-component: pinning one
     processor only forces its own component across the union, so a
@@ -288,9 +290,10 @@ def are_isomorphic(a: System, b: System) -> bool:
         return True
     connected_a = [v for v in a.variables if a.network.neighbors_of_variable(v)]
     union = a.disjoint_union(b, tags=("A", "B"))
+    ctx = _MatcherContext(union, ignore_state=False)
     anchor = ("A", a.processors[0])
     for candidate in b.processors:
-        auto = find_automorphism(union, {anchor: ("B", candidate)})
+        auto = _find_in_context(ctx, {anchor: ("B", candidate)})
         if auto is None:
             continue
         # The automorphism must swap the sides wholesale -- processors

@@ -6,9 +6,9 @@ member of a family, every size of a topology sweep, every candidate
 configuration of an experiment -- and this package drives those in bulk:
 
 * :mod:`repro.perf.batch` -- :func:`batch_similarity` fans a family of
-  systems across a ``concurrent.futures`` process pool with a keyed
-  result cache (system fingerprint -> :class:`RefinementResult`), so
-  duplicate members are solved once and independent members in parallel.
+  systems across a ``concurrent.futures`` process pool, deduplicated by
+  system fingerprint, so duplicate members are solved once and
+  independent members in parallel.
 * :mod:`repro.perf.bench` -- the one harness behind ``python -m repro
   bench NAME``: six benches (``refinement``, ``mp_faults``, ``witness``,
   ``explore``, ``parametric``, ``serve``) that regenerate the committed
@@ -22,14 +22,12 @@ The batch driver is on the CLI as ``python -m repro batch ...``.
 
 from .batch import (
     BatchReport,
-    SimilarityCache,
     batch_similarity,
     system_fingerprint,
 )
 
 __all__ = [
     "BatchReport",
-    "SimilarityCache",
     "batch_similarity",
     "system_fingerprint",
 ]

@@ -1,16 +1,17 @@
-"""Batch similarity analysis: fingerprint cache + process-pool fan-out.
+"""Batch similarity analysis: fingerprint dedup + process-pool fan-out.
 
 ``batch_similarity`` answers a *list* of similarity queries the way a
-serving layer would: deduplicate by content fingerprint, consult a keyed
-result cache, and fan the remaining distinct systems across worker
-processes.  Three effects stack:
+serving layer would: deduplicate by content fingerprint and fan the
+remaining distinct systems across worker processes.  Three effects
+stack:
 
 1. **Incidence reuse** -- members of a homogeneous family share one
    :class:`~repro.core.network.Network` object, so the serial path builds
    its incidence cache once for the whole batch.
 2. **Result reuse** -- systems with equal fingerprints (same network,
-   states, instruction set, schedule class) are solved exactly once; the
-   cache can be kept across calls for request-serving workloads.
+   states, instruction set, schedule class) are solved exactly once per
+   call.  Memoizing across calls is the caller's business: the serving
+   layer keeps summaries per ``(fingerprint, engine)`` in its store.
 3. **Parallelism** -- distinct systems are independent, so a process pool
    scales with cores (on a single-core host the serial path is used
    automatically unless a pool is forced).
@@ -58,42 +59,6 @@ def system_fingerprint(system: System) -> str:
     return h.hexdigest()
 
 
-class SimilarityCache:
-    """A keyed result cache: fingerprint -> :class:`RefinementResult`.
-
-    Deliberately dumb (a dict with hit/miss counters): eviction policy is
-    the caller's business.  Safe to share across :func:`batch_similarity`
-    calls; not shared across worker processes (results come back to the
-    parent, which owns the cache).
-    """
-
-    def __init__(self) -> None:
-        self._store: Dict[str, RefinementResult] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: str) -> Optional[RefinementResult]:
-        result = self._store.get(key)
-        if result is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return result
-
-    def put(self, key: str, result: RefinementResult) -> None:
-        self._store[key] = result
-
-    def peek(self, key: str) -> RefinementResult:
-        """Read without touching the hit/miss counters."""
-        return self._store[key]
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._store
-
-
 @dataclass(frozen=True)
 class BatchReport:
     """Outcome of one :func:`batch_similarity` call.
@@ -103,8 +68,8 @@ class BatchReport:
             order preserved.
         elapsed: wall-clock seconds for the whole batch.
         workers: worker processes used (0 = serial in-process).
-        cache_hits: inputs served without a fresh solve (already cached,
-            or duplicates of another input in the same batch).
+        cache_hits: inputs served without a fresh solve (duplicates of
+            another input in the same batch).
         cache_misses: inputs that required a fresh solve.
         distinct: number of distinct fingerprints actually solved
             (equals ``cache_misses``).
@@ -134,7 +99,6 @@ def batch_similarity(
     include_state: bool = True,
     engine: str = "worklist",
     workers: Optional[int] = None,
-    cache: Optional[SimilarityCache] = None,
 ) -> BatchReport:
     """Compute similarity labelings for many systems at once.
 
@@ -147,15 +111,12 @@ def batch_similarity(
             the serial in-process path (which shares incidence caches
             across members of a homogeneous family -- often the fastest
             choice for small batches).
-        cache: an optional :class:`SimilarityCache` to consult and fill;
-            keep one alive across calls to serve repeated queries.
 
     Returns:
         A :class:`BatchReport`; ``report.results[i]`` corresponds to the
         i-th input system.
     """
     batch: List[System] = list(systems)
-    cache = cache if cache is not None else SimilarityCache()
     if workers is None:
         workers = min(4, os.cpu_count() or 1)
         if workers <= 1:
@@ -167,20 +128,16 @@ def batch_similarity(
     fingerprints = [system_fingerprint(s) for s in batch]
     todo: Dict[str, System] = {}
     for fp, s in zip(fingerprints, batch):
-        if fp not in todo and cache.get(fp) is None:
-            todo[fp] = s
+        todo.setdefault(fp, s)
 
     payloads = [(s, model, include_state, engine) for s in todo.values()]
-    if payloads:
-        if workers:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                solved = list(pool.map(_solve_one, payloads))
-        else:
-            solved = [_solve_one(p) for p in payloads]
-        for fp, result in zip(todo.keys(), solved):
-            cache.put(fp, result)
-
-    results = tuple(cache.peek(fp) for fp in fingerprints)
+    if workers and payloads:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(_solve_one, payloads))
+    else:
+        solved = [_solve_one(p) for p in payloads]
+    by_fp = dict(zip(todo, solved))
+    results = tuple(by_fp[fp] for fp in fingerprints)
     elapsed = time.perf_counter() - t0
     return BatchReport(
         results=results,

@@ -63,8 +63,6 @@ _EXPLORE_SPECS = (
 #: The workload each phase replays: its length and RNG seed.
 REQUESTS = 24
 SEED = 7
-#: The service's coalescing window in seconds.
-BATCH_WINDOW = 0.005
 
 #: Result-document fields stripped before digesting: counters that vary
 #: with cache warmth or wave composition (a duplicate request answered
@@ -133,9 +131,7 @@ async def _run_phase(
 
     started = time.perf_counter()
     async with AnalysisService(
-        store_dir=store_dir,
-        engine_workers=engine_workers,
-        batch_window=BATCH_WINDOW,
+        store_dir=store_dir, engine_workers=engine_workers
     ) as service:
 
         async def timed(request: dict) -> Tuple[dict, float]:
@@ -169,15 +165,15 @@ async def _run_phase(
 async def _deadline_probe(store_dir: str, engine_workers: int) -> dict:
     """Two explore requests share a wave; one carries a tiny deadline.
 
-    The tight request must get the deadline error; its wave-mate must be
-    answered normally — a timeout abandons one wait, never the wave.
+    Submitted together, both are queued before the wave loop runs, so
+    they form one wave.  The tight request must get the deadline error;
+    its wave-mate must be answered normally — a timeout abandons one
+    wait, never the wave.
     """
     from ..serve.service import AnalysisService
 
     async with AnalysisService(
-        store_dir=store_dir,
-        engine_workers=engine_workers,
-        batch_window=0.05,  # wide window: both requests join one wave
+        store_dir=store_dir, engine_workers=engine_workers
     ) as service:
         tight_request, mate_request = (
             dict(spec, scenario=dict(spec["scenario"])) for spec in _EXPLORE_SPECS
@@ -203,8 +199,7 @@ async def _degraded_probe(store_dir: str, engine_workers: int) -> dict:
     from ..serve.service import AnalysisService
 
     async with AnalysisService(
-        store_dir=store_dir, engine_workers=engine_workers,
-        batch_window=BATCH_WINDOW,
+        store_dir=store_dir, engine_workers=engine_workers
     ) as service:
 
         def refuse_write(*_args, **_kwargs):

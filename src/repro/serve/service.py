@@ -13,11 +13,14 @@ registry vocabulary the CLI already speaks::
 
 Three mechanisms stack:
 
-* **Coalescing** -- requests queue per op kind; a wave loop drains the
-  queue after a short batch window and executes the wave at once.
-  Similarity waves become one :func:`~repro.perf.batch.batch_similarity`
-  call over every distinct system in the wave; witness/explore waves
-  dedup identical specs so concurrent equal requests share one run.
+* **Coalescing** -- requests queue per op kind; a wave is whatever is
+  queued once the wave loop has let the event loop make a few passes
+  (no timer), so requests already in flight join it and requests that
+  arrive while the engine thread is busy form the next.  Similarity
+  waves become one :func:`~repro.perf.batch.batch_similarity` call per
+  engine over the distinct unsolved systems in the wave;
+  witness/explore waves dedup identical specs so concurrent equal
+  requests share one run.
 * **Store backing** -- one :class:`~repro.store.ContentStore` (optional
   but recommended) persists selection decisions (through the shared
   :class:`~repro.analysis.witness_engine.DecisionCache`), similarity
@@ -75,6 +78,15 @@ OPS = ("similarity", "witness", "explore", "stats")
 #: queued ahead of it, then exits.
 _SHUTDOWN = object()
 
+#: Event-loop passes a wave loop lets run before it takes its wave.  A
+#: loopback HTTP client needs 14 to turn one answer into its next
+#: request (close, reconnect, accept, read, submit).  A request that
+#: makes it in that time joins the wave; one that does not runs its I/O
+#: on the event loop while the engine thread computes, and the two
+#: threads trade the GIL back and forth for it.  Passes wait for no
+#: timer: 16 of them take under 0.2 ms on an idle loop.
+_SETTLE_PASSES = 16
+
 
 class _EventForwarder:
     """An obs sink bridging a worker thread back onto the event loop."""
@@ -113,8 +125,6 @@ class AnalysisService:
         engine_workers: process-pool size handed to the witness/explore
             engines per job (0 = serial in-process, the safe default for
             a service that is itself concurrent).
-        batch_window: seconds a wave loop waits after the first request
-            before draining the queue — the coalescing knob.
         default_deadline: seconds a request may wait for its answer
             before ``{"error": "deadline"}`` comes back instead; None
             (the default) means requests wait forever unless they carry
@@ -128,12 +138,10 @@ class AnalysisService:
         self,
         store_dir: Optional[str] = None,
         engine_workers: int = 0,
-        batch_window: float = 0.01,
         default_deadline: Optional[float] = None,
         store_max_bytes: Optional[int] = None,
     ) -> None:
         from ..analysis.witness_engine import DecisionCache
-        from ..perf.batch import SimilarityCache
 
         self.hub = EventHub()
         self.store = None
@@ -144,14 +152,12 @@ class AnalysisService:
             self.store = ContentStore(store_dir, max_bytes=store_max_bytes)
             self.store.hub = self.hub
         self.engine_workers = int(engine_workers)
-        self.batch_window = float(batch_window)
         self.default_deadline = (
             float(default_deadline) if default_deadline is not None else None
         )
         self.decisions = DecisionCache()
         if self.store is not None:
             self.decisions.attach_store(self.store)
-        self.similarity_results = SimilarityCache()
         self._summaries: Dict[str, dict] = {}
         self.counters: Dict[str, int] = {
             "requests": 0,
@@ -309,6 +315,10 @@ class AnalysisService:
     # -- coalescing ----------------------------------------------------
 
     async def _wave_loop(self, op: str) -> None:
+        """Answer whatever is queued as one wave, over and over.  Requests
+        already in flight when a wave is taken join it (see
+        :data:`_SETTLE_PASSES`); requests that arrive while the engine
+        thread runs a wave form the next."""
         queue = self._queues[op]
         stopping = False
         while not stopping:
@@ -316,15 +326,15 @@ class AnalysisService:
             if first is _SHUTDOWN:
                 break
             batch = [first]
-            if self.batch_window > 0:
-                await asyncio.sleep(self.batch_window)
-            while not queue.empty():
-                item = queue.get_nowait()
-                if item is _SHUTDOWN:
-                    stopping = True  # answer this batch, then exit
-                else:
-                    batch.append(item)
             try:
+                for _ in range(_SETTLE_PASSES):
+                    await asyncio.sleep(0)
+                while not queue.empty():
+                    item = queue.get_nowait()
+                    if item is _SHUTDOWN:
+                        stopping = True  # answer this batch, then exit
+                    else:
+                        batch.append(item)
                 await self._run_wave(op, batch)
             except asyncio.CancelledError:
                 for pending in batch:
@@ -385,10 +395,9 @@ class AnalysisService:
 
         Every request resolves against the summary memo (and through the
         store) first; the remainder is one :func:`batch_similarity` call
-        over the distinct unsolved systems, which dedups by fingerprint
-        and reuses the service's result cache.
+        per engine over the unsolved systems, which solves each distinct
+        fingerprint once.
         """
-        out: List[dict] = []
         prepared: List[tuple] = []
         for req in requests:
             try:
@@ -396,31 +405,28 @@ class AnalysisService:
             except Exception as exc:
                 # One malformed request fails itself, never its
                 # wave-mates.
-                prepared.append((None, None, self._request_error(exc)))
-        todo = [
-            (i, system, engine)
-            for i, (system, engine, summary) in enumerate(prepared)
-            if summary is None
-        ]
-        if todo:
+                prepared.append((None, None, None, self._request_error(exc)))
+        engines: Dict[str, List[int]] = {}
+        for i, (_system, engine, _fp, summary) in enumerate(prepared):
+            if summary is None:
+                engines.setdefault(engine, []).append(i)
+        if engines:
             from ..perf.batch import batch_similarity
 
-            engines: Dict[str, list] = {}
-            for i, system, engine in todo:
-                engines.setdefault(engine, []).append((i, system))
-            for engine, items in engines.items():
+            for engine, todo in engines.items():
                 report = batch_similarity(
-                    [system for _i, system in items],
+                    [prepared[i][0] for i in todo],
                     engine=engine,
                     workers=self.engine_workers,
-                    cache=self.similarity_results,
                 )
-                for (i, system), result in zip(items, report.results):
+                for i, result in zip(todo, report.results):
+                    system, _engine, fingerprint, _none = prepared[i]
                     summary = self._summarize_similarity(
-                        system, engine, result
+                        system, engine, fingerprint, result
                     )
-                    prepared[i] = (system, engine, summary)
-        for system, engine, summary in prepared:
+                    prepared[i] = (system, engine, fingerprint, summary)
+        out: List[dict] = []
+        for system, _engine, _fp, summary in prepared:
             doc = dict(summary)
             if system is not None:
                 doc["op"] = "similarity"
@@ -428,7 +434,8 @@ class AnalysisService:
         return out
 
     def _prepare_similarity(self, request: dict):
-        """Build the system; answer from the summary memo/store if known."""
+        """Build the system and its fingerprint; answer from the summary
+        memo/store if known."""
         from ..obs.scenarios import build_scenario
         from ..perf.batch import system_fingerprint
 
@@ -454,16 +461,14 @@ class AnalysisService:
                 self._summaries[memo_key] = summary
         if summary is not None:
             self.counters["similarity_summary_hits"] += 1
-        return system, engine, summary
+        return system, engine, fingerprint, summary
 
-    def _summarize_similarity(self, system, engine: str, result) -> dict:
+    def _summarize_similarity(self, system, engine: str, fingerprint: str,
+                              result) -> dict:
         """Summarize one refinement result; memoize and persist it."""
-        from ..perf.batch import system_fingerprint
-
         blocks: Dict[Any, List[str]] = {}
         for proc in system.processors:
             blocks.setdefault(result.labeling[proc], []).append(str(proc))
-        fingerprint = system_fingerprint(system)
         summary = {
             "fingerprint": fingerprint,
             "engine": engine,
@@ -582,12 +587,7 @@ class AnalysisService:
                 "store_hits": self.decisions.store_hits,
                 "store_misses": self.decisions.store_misses,
             },
-            "similarity_cache": {
-                "entries": len(self.similarity_results),
-                "hits": self.similarity_results.hits,
-                "misses": self.similarity_results.misses,
-                "summaries": len(self._summaries),
-            },
+            "similarity_cache": {"summaries": len(self._summaries)},
         }
         if self.store is not None:
             doc["store"] = dict(

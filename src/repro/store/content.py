@@ -2,9 +2,9 @@
 
 The analysis engines memoize aggressively in memory — selection
 decisions per canonical form (:class:`~repro.analysis.witness_engine
-.DecisionCache`), similarity labelings per system fingerprint
-(:class:`~repro.perf.batch.SimilarityCache`), and orbit canonical keys
-per exploration state — but every process starts cold.  The
+.DecisionCache`), the serving layer's similarity summaries per system
+fingerprint and engine, and orbit canonical keys per exploration
+state — but every process starts cold.  The
 :class:`ContentStore` makes those memos durable and *shared*: one
 directory holds every ``(namespace, key bytes) -> JSON document``
 mapping ever computed, addressable from any process (CLI runs, pool
@@ -37,7 +37,10 @@ Design points:
 * **Quarantine, not crashes** -- a corrupt or truncated entry (invalid
   JSON, wrong shape, key echo mismatch) is moved aside into
   ``root/quarantine/`` and reported as a miss; one bad file never takes
-  down a sweep, a server, or CI.
+  down a sweep, a server, or CI.  Every reader — :meth:`ContentStore.get`,
+  :meth:`ContentStore.entries` (and so the integrity check) and the
+  garbage collector's compaction — judges an entry by one rule,
+  :func:`parse_entry`, so they all quarantine exactly the same files.
 """
 
 from __future__ import annotations
@@ -56,6 +59,31 @@ from ..exceptions import ReproError
 
 class StoreError(ReproError):
     """The store root is unusable (not a directory, not writable)."""
+
+
+def parse_entry(raw: bytes, digest: str) -> Optional[Tuple[bytes, dict]]:
+    """Parse one entry file's bytes; ``(key, document)`` or None if corrupt.
+
+    An entry is valid when it is a UTF-8 JSON object whose ``"key"``
+    echo is the lower-case hex of a key addressed by ``digest`` (the
+    echo :meth:`ContentStore._write` writes) and whose ``"value"`` is an
+    object.  The echo catches truncated rewrites and foreign files that
+    happen to parse.
+    """
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+        echo = doc["key"]
+        key = bytes.fromhex(echo)
+    except (KeyError, TypeError, ValueError):  # decode and JSON errors too
+        return None
+    if (
+        not isinstance(doc, dict)
+        or echo != key.hex()
+        or sha256(key).hexdigest() != digest
+        or not isinstance(doc.get("value"), dict)
+    ):
+        return None
+    return key, doc
 
 
 @dataclass
@@ -162,24 +190,18 @@ class ContentStore:
     def _read(self, namespace: str, digest: str, key: bytes) -> Optional[dict]:
         path = self._path(namespace, digest)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            with open(path, "rb") as fh:
+                raw = fh.read()
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
+        except OSError:
             self._quarantine(namespace, digest, path)
             return None
-        # The key echo catches truncated rewrites and foreign files that
-        # happen to parse: a mismatched echo is corruption, not a value.
-        if (
-            not isinstance(doc, dict)
-            or doc.get("key") != key.hex()
-            or "value" not in doc
-            or not isinstance(doc["value"], dict)
-        ):
+        parsed = parse_entry(raw, digest)
+        if parsed is None or parsed[0] != key:
             self._quarantine(namespace, digest, path)
             return None
-        return doc["value"]
+        return parsed[1]["value"]
 
     def _quarantine(self, namespace: str, digest: str, path: str) -> None:
         """Move a corrupt entry aside; never raise from the read path."""
@@ -263,7 +285,8 @@ class ContentStore:
         """Every durable ``(key, value)`` of a namespace, address order.
 
         Walks the disk (staged-but-unflushed entries are not included);
-        corrupt files are quarantined and skipped, like on :meth:`get`.
+        corrupt files are quarantined and skipped, like on :meth:`get`;
+        files that vanish mid-walk (a concurrent GC) are skipped.
         """
         base = os.path.join(self.root, namespace)
         if not os.path.isdir(base):
@@ -278,18 +301,18 @@ class ContentStore:
                 digest = name[: -len(".json")]
                 path = os.path.join(folder, name)
                 try:
-                    with open(path, "r", encoding="utf-8") as fh:
-                        doc = json.load(fh)
-                    key = bytes.fromhex(doc["key"])
-                except (json.JSONDecodeError, UnicodeDecodeError, OSError,
-                        KeyError, TypeError, ValueError):
+                    with open(path, "rb") as fh:
+                        raw = fh.read()
+                except FileNotFoundError:
+                    continue
+                except OSError:
                     self._quarantine(namespace, digest, path)
                     continue
-                if self.address(key) != digest or not isinstance(
-                    doc.get("value"), dict
-                ):
+                parsed = parse_entry(raw, digest)
+                if parsed is None:
                     self._quarantine(namespace, digest, path)
                     continue
+                key, doc = parsed
                 yield key, doc["value"]
 
     def count(self, namespace: str) -> int:

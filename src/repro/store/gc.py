@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .content import ContentStore
+from .content import ContentStore, parse_entry
 
 #: Directory names under the store root that are not entry namespaces.
 _RESERVED = ("quarantine",)
@@ -201,17 +201,13 @@ def _rewrite_entry(store: ContentStore, namespace: str, path: str) -> Optional[b
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        doc = json.loads(raw.decode("utf-8"))
-        key = bytes.fromhex(doc["key"])
     except OSError:
         return False  # vanished or unreadable mid-walk: not ours to judge
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError,
-            ValueError):
+    parsed = parse_entry(raw, digest)
+    if parsed is None:
         store._quarantine(namespace, digest, path)
         return None
-    if store.address(key) != digest or not isinstance(doc.get("value"), dict):
-        store._quarantine(namespace, digest, path)
-        return None
+    _key, doc = parsed
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode(
         "utf-8"
     )

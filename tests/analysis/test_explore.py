@@ -302,6 +302,54 @@ class TestOneSearch:
         assert run_explore(dpp6_spec(), workers=0).verdict == "certified"
 
 
+#: Program seeds whose marked 3-star breaks lockstep within depth 6.
+LOCKSTEP_SEEDS = (1, 7, 10, 11, 13, 17, 23, 29, 42)
+
+
+def _marked_star_lockstep(seed):
+    return ExploreSpec(
+        scenario={"topology": "star", "size": 3, "marks": ["p0"],
+                  "program": "random", "program_seed": seed},
+        max_depth=6, fairness="k-bounded", k=3, invariants=("lockstep",),
+    )
+
+
+class TestReducedCounterexamplesWithoutResearch:
+    """Pins what lifting counterexamples through the orbit quotient must
+    reproduce: with the unreduced re-search bypassed, a reduced BFS
+    already reports the violation unreduced BFS reports, serial and
+    pooled, on these specs."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [pytest.param(_marked_star_lockstep(seed),
+                      id=f"star3-lockstep-seed{seed}")
+         for seed in LOCKSTEP_SEEDS]
+        + [pytest.param(ExploreSpec(scenario=dict(DP4, size=n),
+                                    max_depth=2 * n),
+                        id=f"dp{n}-left-first")
+           for n in (3, 4, 5)],
+    )
+    def test_reduced_bfs_finds_the_unreduced_violation(self, monkeypatch,
+                                                       spec):
+        import repro.analysis.explore as explore
+
+        bypassed = []
+
+        def as_found(spec, violation, extra_invariants):
+            bypassed.append(violation)
+            return violation
+
+        monkeypatch.setattr(explore, "_canonical_violation", as_found)
+        unreduced = run_explore(replace(spec, symmetry=False), workers=0)
+        assert unreduced.violation is not None
+        assert bypassed == []  # unreduced BFS is never re-searched
+        for workers in (0, 2):
+            reduced = run_explore(spec, workers=workers)
+            assert reduced.violation == unreduced.violation
+        assert len(bypassed) == 2
+
+
 def _run_snippet(snippet, seed=None):
     env = dict(os.environ)
     if seed is not None:

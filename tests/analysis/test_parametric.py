@@ -195,6 +195,34 @@ class TestDetectCutoff:
         message = verify_cutoff(bad, extra_sizes=1)
         assert message is not None and "verdict" in message
 
+    def test_verify_asks_each_question_once(self, monkeypatch):
+        """Per extra size, one unreduced verdict search and one reduced
+        structure search: the unreduced run also supplies the verdict
+        that the size's fingerprint records."""
+        from repro.analysis import explore, parametric
+
+        cert = detect_cutoff("ring", "lockstep")
+        searches = []
+        real = explore.run_explore
+
+        def counting(spec, *args, **kwargs):
+            searches.append((spec.max_depth, spec.symmetry))
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(explore, "run_explore", counting)
+        monkeypatch.setattr(parametric, "run_explore", counting)
+        assert verify_cutoff(cert, extra_sizes=2) is None
+        verdict_depths = [
+            member_explore_spec(
+                parametric_family("ring"), property_spec("lockstep"), n
+            ).max_depth
+            for n in (cert.cutoff + 1, cert.cutoff + 2)
+        ]
+        assert searches == [
+            (verdict_depths[0], False), (cert.structure_depth, True),
+            (verdict_depths[1], False), (cert.structure_depth, True),
+        ]
+
     def test_non_uniform_verdict_rejected(self):
         # rings under the random program never deadlock, so expecting
         # the "every member deadlocks" shape must fail fast.

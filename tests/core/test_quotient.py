@@ -111,6 +111,26 @@ class TestIsomorphism:
         b = dining_system(6, alternating=True).with_instruction_set(InstructionSet.Q)
         assert not are_isomorphic(a, b)
 
+    def test_one_matcher_context_per_union(self, monkeypatch):
+        """Every candidate image of the anchor is tried in one matcher
+        context, so the union is refined once, not once per candidate."""
+        from repro.core import automorphism
+
+        built = []
+        real_init = automorphism._MatcherContext.__init__
+
+        def counting_init(ctx, system, ignore_state):
+            built.append(system)
+            real_init(ctx, system, ignore_state)
+
+        monkeypatch.setattr(
+            automorphism._MatcherContext, "__init__", counting_init
+        )
+        a = System(ring(5), {"p0": 1}, InstructionSet.Q)
+        b = System(ring(5), {"p3": 1}, InstructionSet.Q)
+        assert are_isomorphic(a, b)  # the anchor's image is b's 4th processor
+        assert len(built) == 1
+
 
 class TestDisconnectedIsomorphism:
     """Regression: the union-automorphism matcher pins one processor,

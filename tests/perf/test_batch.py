@@ -1,9 +1,9 @@
-"""Unit tests for the batch similarity driver and its cache."""
+"""Unit tests for `repro.perf.batch`: fingerprints and batch similarity."""
 
 import pytest
 
 from repro.core import InstructionSet, System, compute_similarity_labeling, single_mark_family
-from repro.perf import BatchReport, SimilarityCache, batch_similarity, system_fingerprint
+from repro.perf import BatchReport, batch_similarity, system_fingerprint
 from repro.topologies import ring
 
 
@@ -29,24 +29,6 @@ class TestFingerprint:
         assert system_fingerprint(a) != system_fingerprint(b)
 
 
-class TestSimilarityCache:
-    def test_counters(self):
-        cache = SimilarityCache()
-        assert cache.get("x") is None
-        result = compute_similarity_labeling(System(ring(3), None, InstructionSet.Q))
-        cache.put("x", result)
-        assert cache.get("x") is result
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert "x" in cache and len(cache) == 1
-
-    def test_peek_does_not_count(self):
-        cache = SimilarityCache()
-        result = compute_similarity_labeling(System(ring(3), None, InstructionSet.Q))
-        cache.put("x", result)
-        assert cache.peek("x") is result
-        assert (cache.hits, cache.misses) == (0, 0)
-
-
 class TestBatchSimilarity:
     def test_results_in_input_order(self):
         fam = family()
@@ -70,16 +52,6 @@ class TestBatchSimilarity:
         assert report.cache_hits == 4
         assert len(report.results) == 6
         assert report.results[0] is report.results[2] is report.results[4]
-
-    def test_shared_cache_across_calls(self):
-        fam = family(8)
-        cache = SimilarityCache()
-        first = batch_similarity(fam.members, workers=0, cache=cache)
-        second = batch_similarity(fam.members, workers=0, cache=cache)
-        assert first.cache_misses == len(fam.members)
-        assert second.cache_misses == 0
-        assert second.cache_hits == len(fam.members)
-        assert second.distinct == 0
 
     def test_process_pool_matches_serial(self):
         fam = family(10)

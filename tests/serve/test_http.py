@@ -44,7 +44,7 @@ def _with_frontend(test):
     """Run ``test(port)`` against a live front end on an ephemeral port."""
 
     async def go():
-        service = AnalysisService(batch_window=0)
+        service = AnalysisService()
         frontend = HttpFrontend(service, port=0)
         try:
             _, port = await frontend.start()
@@ -210,7 +210,7 @@ class TestStdio:
         out = []
 
         async def go():
-            service = AnalysisService(batch_window=0)
+            service = AnalysisService()
             try:
                 await handle_stdio_lines(service, _LineFeed(lines), out.append)
             finally:
@@ -262,7 +262,7 @@ class TestStdio:
         out = []
 
         async def go():
-            service = Exploding(batch_window=0.05)
+            service = Exploding()
             lines = [
                 json.dumps({"id": "bad", "request": {"op": "boom"}}),
                 json.dumps({"id": "good", "request": {"op": "similarity",

@@ -1,9 +1,13 @@
 """Tests for the coalescing, store-backed analysis service."""
 
 import asyncio
+import threading
 
 import pytest
 
+from repro.core.refinement import compute_similarity_labeling
+from repro.obs.scenarios import build_scenario
+from repro.perf import batch
 from repro.serve import AnalysisService
 
 RING = {"topology": "ring", "size": 5, "marks": []}
@@ -25,7 +29,7 @@ def run(coro):
 class TestOps:
     def test_similarity_request(self):
         async def go():
-            async with AnalysisService(batch_window=0) as service:
+            async with AnalysisService() as service:
                 return await service.submit(
                     {"op": "similarity", "scenario": RING}
                 )
@@ -37,7 +41,7 @@ class TestOps:
 
     def test_marked_ring_splits_classes(self):
         async def go():
-            async with AnalysisService(batch_window=0) as service:
+            async with AnalysisService() as service:
                 return await service.submit(
                     {"op": "similarity", "scenario": MARKED_RING}
                 )
@@ -47,7 +51,7 @@ class TestOps:
 
     def test_witness_request(self):
         async def go():
-            async with AnalysisService(batch_window=0) as service:
+            async with AnalysisService() as service:
                 return await service.submit({"op": "witness", "spec": WITNESS})
 
         result = run(go())
@@ -57,7 +61,7 @@ class TestOps:
 
     def test_explore_request(self):
         async def go():
-            async with AnalysisService(batch_window=0) as service:
+            async with AnalysisService() as service:
                 return await service.submit({"op": "explore", "spec": EXPLORE})
 
         result = run(go())
@@ -67,7 +71,7 @@ class TestOps:
 
     def test_stats_op(self):
         async def go():
-            async with AnalysisService(batch_window=0) as service:
+            async with AnalysisService() as service:
                 await service.submit({"op": "similarity", "scenario": RING})
                 return await service.submit({"op": "stats"})
 
@@ -81,14 +85,14 @@ class TestOps:
 class TestErrors:
     def test_unknown_op(self):
         async def go():
-            async with AnalysisService(batch_window=0) as service:
+            async with AnalysisService() as service:
                 return await service.submit({"op": "frobnicate"})
 
         assert "unknown op" in run(go())["error"]
 
     def test_non_dict_request(self):
         async def go():
-            async with AnalysisService(batch_window=0) as service:
+            async with AnalysisService() as service:
                 return await service.submit(["not", "a", "dict"])
 
         assert "JSON object" in run(go())["error"]
@@ -97,7 +101,7 @@ class TestErrors:
         """A malformed wave-mate must not poison concurrent requests."""
 
         async def go():
-            async with AnalysisService(batch_window=0.05) as service:
+            async with AnalysisService() as service:
                 return await asyncio.gather(
                     service.submit({"op": "similarity", "scenario": RING}),
                     service.submit(
@@ -145,7 +149,7 @@ class TestErrors:
         }[bad["op"]]
 
         async def go():
-            async with AnalysisService(batch_window=0.05) as service:
+            async with AnalysisService() as service:
                 return await asyncio.gather(
                     service.submit(bad), service.submit(good)
                 )
@@ -159,7 +163,7 @@ class TestErrors:
 
     def test_witness_without_spec(self):
         async def go():
-            async with AnalysisService(batch_window=0) as service:
+            async with AnalysisService() as service:
                 return await service.submit({"op": "witness"})
 
         assert "spec" in run(go())["error"]
@@ -168,7 +172,7 @@ class TestErrors:
 class TestCoalescing:
     def test_identical_requests_share_one_job(self):
         async def go():
-            async with AnalysisService(batch_window=0.05) as service:
+            async with AnalysisService() as service:
                 results = await asyncio.gather(
                     *(service.submit({"op": "similarity", "scenario": RING})
                       for _ in range(4))
@@ -180,9 +184,90 @@ class TestCoalescing:
         assert stats["counters"]["coalesced"] >= 1
         assert stats["counters"]["jobs"] < stats["counters"]["requests"]
 
+    def test_requests_queued_behind_a_busy_engine_share_a_wave(self):
+        """With no coalescing sleep, requests submitted one at a time
+        while the engine thread is busy queue up and form one wave."""
+        entered, release = threading.Event(), threading.Event()
+        waves = []
+
+        class WaveLog:
+            def on_event(self, event):
+                if event.kind == "serve-wave":
+                    waves.append((event.op, event.requests, event.jobs))
+
+        async def go():
+            async with AnalysisService() as service:
+                service.hub.attach(WaveLog())
+                real = service._similarity_wave
+                calls = []
+
+                def held_first(requests):
+                    calls.append(len(requests))
+                    if len(calls) == 1:
+                        entered.set()
+                        release.wait(timeout=30)
+                    return real(requests)
+
+                service._similarity_wave = held_first
+                blocker = asyncio.ensure_future(
+                    service.submit({"op": "similarity", "scenario": RING})
+                )
+                later = []
+                try:
+                    # The engine thread now holds wave 1.
+                    assert await asyncio.get_event_loop().run_in_executor(
+                        None, entered.wait, 30
+                    )
+                    for size in (3, 4, 6):
+                        later.append(asyncio.ensure_future(service.submit(
+                            {"op": "similarity",
+                             "scenario": {"topology": "ring", "size": size}}
+                        )))
+                        await asyncio.sleep(0.02)
+                finally:
+                    release.set()
+                answers = await asyncio.gather(blocker, *later)
+                return answers, calls, service.stats_doc()
+
+        answers, calls, stats = run(go())
+        assert all(doc["op"] == "similarity" for doc in answers)
+        assert calls == [1, 3]
+        assert waves == [("similarity", 1, 1), ("similarity", 3, 3)]
+        assert stats["counters"]["waves"] == 2
+
+    def test_a_request_in_flight_joins_the_wave(self):
+        """A request that reaches the queue a few event-loop passes after
+        the first one (a client turning its last answer into its next
+        request) joins that wave instead of starting its own."""
+        waves = []
+
+        class WaveLog:
+            def on_event(self, event):
+                if event.kind == "serve-wave":
+                    waves.append((event.op, event.requests))
+
+        async def in_flight(service):
+            for _ in range(8):
+                await asyncio.sleep(0)
+            return await service.submit(
+                {"op": "similarity", "scenario": {"topology": "ring", "size": 4}}
+            )
+
+        async def go():
+            async with AnalysisService() as service:
+                service.hub.attach(WaveLog())
+                return await asyncio.gather(
+                    service.submit({"op": "similarity", "scenario": RING}),
+                    in_flight(service),
+                )
+
+        answers = run(go())
+        assert all(doc["op"] == "similarity" for doc in answers)
+        assert waves == [("similarity", 2)]
+
     def test_mixed_ops_all_answered(self):
         async def go():
-            async with AnalysisService(batch_window=0.02) as service:
+            async with AnalysisService() as service:
                 return await asyncio.gather(
                     service.submit({"op": "similarity", "scenario": RING}),
                     service.submit({"op": "witness", "spec": WITNESS}),
@@ -195,6 +280,39 @@ class TestCoalescing:
         assert exp["op"] == "explore"
 
 
+class TestSimilarityMemo:
+    def test_each_engine_reports_its_own_stats(self):
+        """The memo is keyed by fingerprint *and* engine: a signatures
+        request after a worklist one for the same system is solved by
+        the signatures engine, not answered with the worklist result."""
+        scenario = {"topology": "ring", "size": 6, "marks": ["p0"]}
+
+        async def go():
+            async with AnalysisService() as service:
+                worklist = await service.submit(
+                    {"op": "similarity", "scenario": scenario}
+                )
+                signatures = await service.submit(
+                    {"op": "similarity", "scenario": scenario,
+                     "engine": "signatures"}
+                )
+                return worklist, signatures
+
+        worklist, signatures = run(go())
+        system = build_scenario(scenario).system
+        for doc, engine in ((worklist, "worklist"),
+                            (signatures, "signatures")):
+            stats = compute_similarity_labeling(system, engine=engine).stats
+            assert doc["engine"] == engine
+            assert doc["stats"] == {
+                "rounds": stats.rounds,
+                "splits": stats.splits,
+                "classes": stats.classes,
+            }
+        assert signatures["stats"]["rounds"] == 6
+        assert signatures["classes"] == worklist["classes"]
+
+
 class TestStoreBacking:
     def test_warm_service_replays_witness_with_zero_misses(self, tmp_path):
         """The tentpole acceptance: a second service over the same store
@@ -202,7 +320,7 @@ class TestStoreBacking:
         root = str(tmp_path / "store")
 
         async def serve_once():
-            async with AnalysisService(store_dir=root, batch_window=0) as svc:
+            async with AnalysisService(store_dir=root) as svc:
                 return await svc.submit({"op": "witness", "spec": WITNESS})
 
         cold = run(serve_once())
@@ -211,11 +329,11 @@ class TestStoreBacking:
         assert warm["cache_misses"] == 0
         assert warm["witnesses"] == cold["witnesses"]
 
-    def test_similarity_summary_served_from_store(self, tmp_path):
+    def test_similarity_summary_served_from_store(self, tmp_path, monkeypatch):
         root = str(tmp_path / "store")
 
         async def serve_once():
-            async with AnalysisService(store_dir=root, batch_window=0) as svc:
+            async with AnalysisService(store_dir=root) as svc:
                 result = await svc.submit(
                     {"op": "similarity", "scenario": MARKED_RING}
                 )
@@ -223,16 +341,21 @@ class TestStoreBacking:
 
         cold, cold_stats = run(serve_once())
         assert cold_stats["counters"]["similarity_summary_hits"] == 0
+
+        def never_computed(*_args, **_kwargs):
+            raise AssertionError("a warm store must answer without solving")
+
+        monkeypatch.setattr(batch, "batch_similarity", never_computed)
         warm, warm_stats = run(serve_once())
         assert warm_stats["counters"]["similarity_summary_hits"] == 1
-        assert warm_stats["similarity_cache"]["misses"] == 0  # never computed
+        assert warm_stats["similarity_cache"] == {"summaries": 1}
         assert warm["classes"] == cold["classes"]
 
     def test_explore_orbit_memo_round_trips(self, tmp_path):
         root = str(tmp_path / "store")
 
         async def serve_once():
-            async with AnalysisService(store_dir=root, batch_window=0) as svc:
+            async with AnalysisService(store_dir=root) as svc:
                 return await svc.submit({"op": "explore", "spec": EXPLORE})
 
         cold = run(serve_once())
@@ -248,7 +371,7 @@ class TestStoreBacking:
 class TestDeadlines:
     def test_deadline_exceeded_returns_error(self):
         async def go():
-            async with AnalysisService(batch_window=0.05) as service:
+            async with AnalysisService() as service:
                 return await service.submit(
                     {"op": "explore", "spec": EXPLORE, "deadline": 0.001}
                 )
@@ -260,7 +383,7 @@ class TestDeadlines:
 
     def test_timed_out_request_never_poisons_wave_mates(self):
         async def go():
-            async with AnalysisService(batch_window=0.05) as service:
+            async with AnalysisService() as service:
                 tight, mate = await asyncio.gather(
                     service.submit(
                         {"op": "explore", "spec": EXPLORE, "deadline": 0.001}
@@ -278,7 +401,7 @@ class TestDeadlines:
 
     def test_generous_deadline_answers_normally(self):
         async def go():
-            async with AnalysisService(batch_window=0) as service:
+            async with AnalysisService() as service:
                 return await service.submit(
                     {"op": "similarity", "scenario": RING, "deadline": 60}
                 )
@@ -289,7 +412,7 @@ class TestDeadlines:
     def test_default_deadline_applies_without_request_field(self):
         async def go():
             async with AnalysisService(
-                batch_window=0.05, default_deadline=0.001
+                default_deadline=0.001
             ) as service:
                 return await service.submit({"op": "explore", "spec": EXPLORE})
 
@@ -297,7 +420,7 @@ class TestDeadlines:
 
     def test_bad_deadline_rejected(self):
         async def go():
-            async with AnalysisService(batch_window=0) as service:
+            async with AnalysisService() as service:
                 return await asyncio.gather(
                     service.submit({"op": "similarity", "scenario": RING,
                                     "deadline": -1}),
@@ -313,7 +436,7 @@ class TestDeadlines:
         differing only in deadline share one job."""
 
         async def go():
-            async with AnalysisService(batch_window=0.05) as service:
+            async with AnalysisService() as service:
                 results = await asyncio.gather(
                     service.submit({"op": "similarity", "scenario": RING,
                                     "deadline": 30}),
@@ -333,7 +456,7 @@ class TestGracefulShutdown:
         root = str(tmp_path / "store")
 
         async def go():
-            service = AnalysisService(store_dir=root, batch_window=0.1)
+            service = AnalysisService(store_dir=root)
             await service.start()
             pending = [
                 asyncio.ensure_future(
@@ -358,7 +481,7 @@ class TestGracefulShutdown:
 
     def test_submissions_during_drain_are_rejected(self):
         async def go():
-            service = AnalysisService(batch_window=0.1)
+            service = AnalysisService()
             await service.start()
             queued = asyncio.ensure_future(
                 service.submit({"op": "similarity", "scenario": RING})
@@ -379,7 +502,7 @@ class TestGracefulShutdown:
 
     def test_service_restarts_after_drain(self):
         async def go():
-            service = AnalysisService(batch_window=0)
+            service = AnalysisService()
             await service.start()
             await service.submit({"op": "similarity", "scenario": RING})
             await service.stop()
@@ -391,6 +514,25 @@ class TestGracefulShutdown:
             return result
 
         assert run(go())["op"] == "similarity"
+
+    def test_hard_stop_cancels_a_request_waiting_for_its_wave(self):
+        """``stop(drain=False)`` while a wave loop lets the event loop
+        settle before taking its wave cancels that request; it never
+        leaves the caller waiting forever."""
+
+        async def go():
+            service = AnalysisService()
+            await service.start()
+            pending = asyncio.ensure_future(
+                service.submit({"op": "similarity", "scenario": RING})
+            )
+            for _ in range(3):  # queued; its wave loop is settling
+                await asyncio.sleep(0)
+            await service.stop(drain=False)
+            with pytest.raises(asyncio.CancelledError):
+                await asyncio.wait_for(pending, 5)
+
+        run(go())
 
 
 class TestDegradedMode:
@@ -413,7 +555,7 @@ class TestDegradedMode:
 
         async def go():
             async with AnalysisService(
-                store_dir=str(tmp_path / "store"), batch_window=0
+                store_dir=str(tmp_path / "store")
             ) as service:
                 service.hub.attach(Sink())
                 self._sabotage(service)
@@ -436,7 +578,7 @@ class TestDegradedMode:
     def test_degraded_witness_job_retries_memory_only(self, tmp_path):
         async def go():
             async with AnalysisService(
-                store_dir=str(tmp_path / "store"), batch_window=0,
+                store_dir=str(tmp_path / "store"),
                 # Tiny threshold: the DecisionCache's write-through put
                 # auto-flushes mid-job, failing inside the sweep.
                 store_max_bytes=None,
@@ -456,7 +598,7 @@ class TestDegradedMode:
     def test_degraded_service_survives_its_own_stop(self, tmp_path):
         async def go():
             service = AnalysisService(
-                store_dir=str(tmp_path / "store"), batch_window=0
+                store_dir=str(tmp_path / "store")
             )
             await service.start()
             self._sabotage(service)
@@ -472,7 +614,7 @@ class TestEventStreaming:
         events = []
 
         async def go():
-            async with AnalysisService(batch_window=0) as service:
+            async with AnalysisService() as service:
                 return await service.submit(
                     {"op": "witness", "spec": WITNESS},
                     on_event=events.append,
@@ -488,7 +630,7 @@ class TestEventStreaming:
         mine, theirs = [], []
 
         async def go():
-            async with AnalysisService(batch_window=0.05) as service:
+            async with AnalysisService() as service:
                 await asyncio.gather(
                     service.submit({"op": "explore", "spec": EXPLORE},
                                    on_event=mine.append),

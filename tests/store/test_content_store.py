@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from repro.store import ContentStore, NS_DECISIONS
+from repro.store.gc import check, collect
 
 
 class TestRoundTrip:
@@ -280,6 +281,77 @@ class TestQuarantine:
             store.put("ns", b"k", {"v": 2})
         with ContentStore(root) as store:
             assert store.get("ns", b"k") == {"v": 2}
+
+
+def _entry_bytes(**doc):
+    """An entry document serialized the way the store writes one."""
+    doc = dict(doc, namespace="ns")
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+#: Damage done to the entry of ``b"key-1"``, by name.
+_CORRUPTIONS = {
+    "not-json": lambda key: b"{ not json",
+    "not-an-object": lambda key: b'["key", "value"]',
+    "key-not-hex": lambda key: _entry_bytes(key="not hex", value={"i": 1}),
+    "upper-case-echo": lambda key: _entry_bytes(
+        key=key.hex().upper(), value={"i": 1}
+    ),
+    "echo-of-another-key": lambda key: _entry_bytes(
+        key=b"key-2".hex(), value={"i": 2}
+    ),
+    "missing-value": lambda key: _entry_bytes(key=key.hex()),
+    "non-object-value": lambda key: _entry_bytes(key=key.hex(), value=[1]),
+}
+
+
+def _read_all_by_get(root):
+    with ContentStore(root) as store:
+        for i in range(3):
+            store.get("ns", b"key-%d" % i)
+
+
+def _read_all_by_entries(root):
+    with ContentStore(root) as store:
+        list(store.entries("ns"))
+
+
+#: Every reader of durable entries, each walking the whole store.
+_READERS = {
+    "get": _read_all_by_get,
+    "entries": _read_all_by_entries,
+    "check": check,
+    "collect": collect,
+}
+
+
+class TestOneValidityRule:
+    """``get``, ``entries``, the integrity check and GC's compaction
+    judge an entry by one rule, so they quarantine the same files."""
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    @pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+    def test_every_reader_quarantines_the_same_file(
+        self, tmp_path, corruption, reader
+    ):
+        root = str(tmp_path / "s")
+        with ContentStore(root) as store:
+            for i in range(3):
+                store.put("ns", b"key-%d" % i, {"i": i})
+        digest = ContentStore.address(b"key-1")
+        path = os.path.join(root, "ns", digest[:2], digest + ".json")
+        with open(path, "wb") as fh:
+            fh.write(_CORRUPTIONS[corruption](b"key-1"))
+
+        _READERS[reader](root)
+
+        assert os.listdir(os.path.join(root, "quarantine")) == [
+            f"ns-{digest}.corrupt"
+        ]
+        with ContentStore(root) as store:
+            assert [key for key, _value in store.entries("ns")] == sorted(
+                (b"key-0", b"key-2"), key=ContentStore.address
+            )
 
 
 _WRITER = """
