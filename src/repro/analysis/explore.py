@@ -1052,9 +1052,7 @@ def _merge_orbit_docs(existing: dict, new: dict) -> dict:
 def _orbit_store_key(system) -> bytes:
     """The ``orbits``-namespace store key of one system: its content
     fingerprint (hash-seed independent, equal for equal systems)."""
-    from ..perf.batch import system_fingerprint
-
-    return bytes.fromhex(system_fingerprint(system))
+    return bytes.fromhex(system.fingerprint)
 
 
 def _load_orbit_memo(store, system, keys: _KeyMaker) -> int:

@@ -199,6 +199,14 @@ class System:
 
         return quotient.canonical_form(self)
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """:func:`repro.perf.batch.system_fingerprint` of this system,
+        computed once, like :attr:`iso_form`."""
+        from ..perf import batch
+
+        return batch.system_fingerprint(self)
+
     def disjoint_union(self, other: "System", tags: Tuple[str, str] = ("A", "B")) -> "System":
         """The union system of Section 5 (generally unconnected).
 

@@ -40,7 +40,9 @@ def system_fingerprint(system: System) -> str:
     Stable across processes and interpreter runs (unlike ``hash()``,
     which is randomized for strings): hashes the sorted edge list, the
     initial states, the instruction set and the schedule class via their
-    reprs.  Equal systems get equal fingerprints; the cache key.
+    reprs.  Equal systems get equal fingerprints; the cache key.  Read
+    it through :attr:`System.fingerprint <repro.core.system.System
+    .fingerprint>`, which computes it once per system.
     """
     net = system.network
     h = sha256()
@@ -125,7 +127,7 @@ def batch_similarity(
         workers = 0
 
     t0 = time.perf_counter()
-    fingerprints = [system_fingerprint(s) for s in batch]
+    fingerprints = [s.fingerprint for s in batch]
     todo: Dict[str, System] = {}
     for fp, s in zip(fingerprints, batch):
         todo.setdefault(fp, s)

@@ -15,9 +15,11 @@ over raw asyncio streams:
 
 The stdio front end speaks JSON lines: each input line is
 ``{"id": ..., "request": {...}, "stream": true?}``; output lines are
-``{"id", "kind": "event"|"result", ...}``.  Requests on either front
-end all feed the same :class:`~repro.serve.service.AnalysisService`,
-so they coalesce into shared waves and share the store.
+``{"id", "kind": "event"|"result", ...}``.  A line that is not a JSON
+object gets a result line with a null id and an error, and the loop
+reads on.  Requests on either front end all feed the same
+:class:`~repro.serve.service.AnalysisService`, so they coalesce into
+shared waves and share the store.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ class HttpFrontend:
         body = await reader.readexactly(length) if length else b""
         try:
             request = json.loads(body.decode("utf-8")) if body else {}
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):
             writer.write(_response("400 Bad Request",
                                    _json_bytes({"error": "body is not JSON"})))
             await writer.drain()
@@ -273,15 +275,20 @@ async def handle_stdio_lines(service: AnalysisService, reader, write_line) -> No
         raw = await reader.readline()
         if not raw:
             break
-        line = raw.decode("utf-8").strip() if isinstance(raw, bytes) else raw.strip()
+        line = raw.strip()
         if not line:
             continue
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            error = f"input line is not JSON: {exc}"
+        else:
+            error = None if isinstance(doc, dict) else (
+                f"input line must be a JSON object, not {type(doc).__name__}"
+            )
+        if error is not None:
             write_line(json.dumps(
-                {"id": None, "kind": "result",
-                 "result": {"error": f"input line is not JSON: {exc}"}},
+                {"id": None, "kind": "result", "result": {"error": error}},
                 sort_keys=True,
             ))
             continue

@@ -11,8 +11,22 @@ registry vocabulary the CLI already speaks::
     {"op": "explore",    "spec": {"scenario": {...}, "max_depth": 6, ...}}
     {"op": "stats"}
 
-Three mechanisms stack:
+Four mechanisms stack:
 
+* **Answer memo** -- an answer is a function of the request alone: the
+  similarity labeling is the unique coarsest one, and a selection
+  decision or a bounded-exploration verdict depends only on the system
+  and the model.  So the service keeps one in-process memo from each
+  request's canonical document (sorted-key JSON, ``deadline`` stripped)
+  to the JSON text of its first non-error answer.  :meth:`submit`
+  answers a repeat from it before anything is queued: no wave, no
+  engine-thread hop, no store flush, and no events for a streaming
+  subscriber.  A repeat queued behind its own first run is answered
+  from the memo when its wave is taken.  Every answer, first or
+  repeat, is decoded afresh from JSON text, so callers share no lists,
+  and a witness hit reports ``cache_misses: 0``, as it decided
+  nothing.  The memo is not persisted; the store below it is the
+  cross-process layer.
 * **Coalescing** -- requests queue per op kind; a wave is whatever is
   queued once the wave loop has let the event loop make a few passes
   (no timer), so requests already in flight join it and requests that
@@ -103,14 +117,15 @@ class _EventForwarder:
 
 
 class _Pending:
-    """One enqueued request: its payload, future, and event subscriber."""
+    """One enqueued request: its payload, memo key, future, and event
+    subscriber."""
 
     __slots__ = ("request", "key", "future", "on_event")
 
-    def __init__(self, request: dict, future: "asyncio.Future",
+    def __init__(self, request: dict, key: str, future: "asyncio.Future",
                  on_event: Optional[Callable[[dict], None]]) -> None:
         self.request = request
-        self.key = json.dumps(request, sort_keys=True)
+        self.key = key
         self.future = future
         self.on_event = on_event
 
@@ -158,7 +173,10 @@ class AnalysisService:
         self.decisions = DecisionCache()
         if self.store is not None:
             self.decisions.attach_store(self.store)
-        self._summaries: Dict[str, dict] = {}
+        # Request key -> JSON text of its answer; touched on the event
+        # loop only.
+        self._answers: Dict[str, str] = {}
+        self._answer_hits = 0
         self.counters: Dict[str, int] = {
             "requests": 0,
             "waves": 0,
@@ -271,7 +289,8 @@ class AnalysisService:
         request waits for its answer; past it, ``{"error": "deadline"}``
         comes back while the wave keeps running for its wave-mates.  The
         field is stripped before coalescing, so requests differing only
-        in deadline still share one job.
+        in deadline still share one job, and a repeat answered from the
+        memo never waits.
         """
         self.counters["requests"] += 1
         if self._stopping:
@@ -298,10 +317,18 @@ class AnalysisService:
         if op not in OPS:
             self.counters["errors"] += 1
             return {"error": f"unknown op {op!r}; pick from {list(OPS)}"}
+        try:
+            key = json.dumps(request, sort_keys=True)
+        except (TypeError, ValueError) as exc:
+            self.counters["errors"] += 1
+            return {"error": f"request is not a JSON document: {exc}"}
+        answer = self._recall(key)
+        if answer is not None:
+            return answer
         if not self._started:
             await self.start()
         future: "asyncio.Future" = asyncio.get_event_loop().create_future()
-        await self._queues[op].put(_Pending(request, future, on_event))
+        await self._queues[op].put(_Pending(request, key, future, on_event))
         if deadline is None:
             return await future
         try:
@@ -352,21 +379,28 @@ class AnalysisService:
         t0 = time.perf_counter()
         groups: Dict[str, List[_Pending]] = {}
         for pending in batch:
-            groups.setdefault(pending.key, []).append(pending)
+            # A repeat queued behind its own first run is answered by it.
+            answer = self._recall(pending.key)
+            if answer is None:
+                groups.setdefault(pending.key, []).append(pending)
+            elif not pending.future.done():
+                pending.future.set_result(answer)
+        if not groups:
+            return
+        requests = sum(len(group) for group in groups.values())
         self.counters["waves"] += 1
         self.counters["jobs"] += len(groups)
-        self.counters["coalesced"] += len(batch) - len(groups)
+        self.counters["coalesced"] += requests - len(groups)
 
         if op == "similarity":
             results = await loop.run_in_executor(
                 self._pool, self._similarity_wave,
                 [group[0].request for group in groups.values()],
             )
-            for group, result in zip(groups.values(), results):
-                for pending in group:
-                    pending.future.set_result(dict(result))
+            for (key, group), result in zip(groups.items(), results):
+                self._resolve(key, group, result)
         else:
-            for group in groups.values():
+            for key, group in groups.items():
                 callbacks = [p.on_event for p in group if p.on_event]
                 hub: Optional[EventHub] = None
                 if callbacks:
@@ -375,28 +409,54 @@ class AnalysisService:
                 result = await loop.run_in_executor(
                     self._pool, self._execute_one, op, group[0].request, hub
                 )
-                for pending in group:
-                    pending.future.set_result(dict(result))
+                self._resolve(key, group, result)
         self.flush()
         if self.hub.active:
             self.hub.emit(
                 ServeWave(
                     op=op,
-                    requests=len(batch),
+                    requests=requests,
                     jobs=len(groups),
                     elapsed_ms=(time.perf_counter() - t0) * 1000.0,
                 )
             )
+
+    # -- the answer memo (event loop only) -----------------------------
+
+    def _recall(self, key: str) -> Optional[dict]:
+        """A fresh copy of the memoized answer to ``key``, or None.  A
+        witness repeat decides nothing, so it reports no decision-cache
+        misses."""
+        text = self._answers.get(key)
+        if text is None:
+            return None
+        self._answer_hits += 1
+        answer = json.loads(text)
+        if answer.get("op") == "witness":
+            answer["cache_misses"] = 0
+        return answer
+
+    def _resolve(self, key: str, group: List[_Pending], result: dict) -> None:
+        """Answer one job group and memoize the answer unless it is an
+        error.  Every caller decodes its own copy of the JSON text, so
+        no two callers, and no caller and the memo, share a list.  A
+        caller that was cancelled while it waited is skipped, never
+        allowed to fail its wave-mates."""
+        text = json.dumps(result)
+        if "error" not in result:
+            self._answers[key] = text
+        for pending in group:
+            if not pending.future.done():
+                pending.future.set_result(json.loads(text))
 
     # -- job execution (worker thread) ---------------------------------
 
     def _similarity_wave(self, requests: List[dict]) -> List[dict]:
         """One wave of similarity requests: summaries for the whole list.
 
-        Every request resolves against the summary memo (and through the
-        store) first; the remainder is one :func:`batch_similarity` call
-        per engine over the unsolved systems, which solves each distinct
-        fingerprint once.
+        Every request resolves against the store first; the remainder is
+        one :func:`batch_similarity` call per engine over the unsolved
+        systems, which solves each distinct fingerprint once.
         """
         prepared: List[tuple] = []
         for req in requests:
@@ -405,9 +465,9 @@ class AnalysisService:
             except Exception as exc:
                 # One malformed request fails itself, never its
                 # wave-mates.
-                prepared.append((None, None, None, self._request_error(exc)))
+                prepared.append((None, None, self._request_error(exc)))
         engines: Dict[str, List[int]] = {}
-        for i, (_system, engine, _fp, summary) in enumerate(prepared):
+        for i, (_system, engine, summary) in enumerate(prepared):
             if summary is None:
                 engines.setdefault(engine, []).append(i)
         if engines:
@@ -420,13 +480,11 @@ class AnalysisService:
                     workers=self.engine_workers,
                 )
                 for i, result in zip(todo, report.results):
-                    system, _engine, fingerprint, _none = prepared[i]
-                    summary = self._summarize_similarity(
-                        system, engine, fingerprint, result
-                    )
-                    prepared[i] = (system, engine, fingerprint, summary)
+                    system = prepared[i][0]
+                    summary = self._summarize_similarity(system, engine, result)
+                    prepared[i] = (system, engine, summary)
         out: List[dict] = []
-        for system, _engine, _fp, summary in prepared:
+        for system, _engine, summary in prepared:
             doc = dict(summary)
             if system is not None:
                 doc["op"] = "similarity"
@@ -434,10 +492,8 @@ class AnalysisService:
         return out
 
     def _prepare_similarity(self, request: dict):
-        """Build the system and its fingerprint; answer from the summary
-        memo/store if known."""
+        """Build the system; answer from the store if it is known there."""
         from ..obs.scenarios import build_scenario
-        from ..perf.batch import system_fingerprint
 
         scenario = request.get("scenario")
         if not isinstance(scenario, dict):
@@ -448,29 +504,24 @@ class AnalysisService:
                 f"unknown engine {engine!r}; pick from {sorted(ENGINES)}"
             )
         system = build_scenario(scenario).system
-        fingerprint = system_fingerprint(system)
-        memo_key = f"{fingerprint}:{engine}"
-        summary = self._summaries.get(memo_key)
-        if summary is None and self.store is not None:
+        summary = None
+        if self.store is not None:
             from ..store import NS_SIMILARITY
 
             summary = self.store.get(
-                NS_SIMILARITY, encode_value((fingerprint, engine))
+                NS_SIMILARITY, encode_value((system.fingerprint, engine))
             )
             if summary is not None:
-                self._summaries[memo_key] = summary
-        if summary is not None:
-            self.counters["similarity_summary_hits"] += 1
-        return system, engine, fingerprint, summary
+                self.counters["similarity_summary_hits"] += 1
+        return system, engine, summary
 
-    def _summarize_similarity(self, system, engine: str, fingerprint: str,
-                              result) -> dict:
-        """Summarize one refinement result; memoize and persist it."""
+    def _summarize_similarity(self, system, engine: str, result) -> dict:
+        """Summarize one refinement result and persist it."""
         blocks: Dict[Any, List[str]] = {}
         for proc in system.processors:
             blocks.setdefault(result.labeling[proc], []).append(str(proc))
         summary = {
-            "fingerprint": fingerprint,
+            "fingerprint": system.fingerprint,
             "engine": engine,
             "classes": sorted(sorted(block) for block in blocks.values()),
             "stats": {
@@ -479,13 +530,14 @@ class AnalysisService:
                 "classes": result.stats.classes,
             },
         }
-        self._summaries[f"{fingerprint}:{engine}"] = summary
         if self.store is not None:
             from ..store import NS_SIMILARITY
 
             try:
                 self.store.put(
-                    NS_SIMILARITY, encode_value((fingerprint, engine)), summary
+                    NS_SIMILARITY,
+                    encode_value((system.fingerprint, engine)),
+                    summary,
                 )
             except OSError as exc:  # put auto-flushes past its threshold
                 self._degrade(f"store write failed: {exc}")
@@ -587,7 +639,10 @@ class AnalysisService:
                 "store_hits": self.decisions.store_hits,
                 "store_misses": self.decisions.store_misses,
             },
-            "similarity_cache": {"summaries": len(self._summaries)},
+            "answer_memo": {
+                "entries": len(self._answers),
+                "hits": self._answer_hits,
+            },
         }
         if self.store is not None:
             doc["store"] = dict(

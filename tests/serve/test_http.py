@@ -3,6 +3,8 @@
 import asyncio
 import json
 
+import pytest
+
 from repro.serve import AnalysisService
 from repro.serve.http import HttpFrontend, StreamBuffer, handle_stdio_lines
 
@@ -112,6 +114,24 @@ class TestHttpRoutes:
         raw = _with_frontend(lambda port: t(port))
         assert b"400" in raw.split(b"\r\n", 1)[0]
 
+    def test_body_nested_too_deep_is_400(self):
+        async def t(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            payload = b"[" * 100000
+            writer.write(
+                b"POST /v1/analyze HTTP/1.1\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(payload) + payload
+            )
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return raw
+
+        head, _, body = _with_frontend(t).partition(b"\r\n\r\n")
+        assert b"400" in head.split(b"\r\n", 1)[0]
+        assert json.loads(body) == {"error": "body is not JSON"}
+
     def test_bad_op_is_400_with_error_doc(self):
         async def t(port):
             return await _http_roundtrip(
@@ -138,6 +158,29 @@ class TestHttpRoutes:
         event_kinds = {d["event"]["kind"] for d in docs if d["kind"] == "event"}
         assert event_kinds & {"witness-shard", "witness"}
 
+
+    def test_streamed_repeat_gets_only_its_result_line(self):
+        """A repeat is answered from the memo: no job runs, so no events."""
+        request = {"op": "witness", "spec": WITNESS}
+
+        async def t(port):
+            first = await _http_roundtrip(
+                port, "POST", "/v1/analyze?stream=1", request
+            )
+            again = await _http_roundtrip(
+                port, "POST", "/v1/analyze?stream=1", request
+            )
+            return first[2], again
+
+        first_body, (status, headers, body) = _with_frontend(t)
+        first = [json.loads(line) for line in first_body.splitlines() if line]
+        lines = [json.loads(line) for line in body.splitlines() if line]
+        assert any(doc["kind"] == "event" for doc in first)
+        assert status == 200
+        assert headers["content-type"] == "application/x-ndjson"
+        assert [doc["kind"] for doc in lines] == ["result"]
+        assert lines[0]["cache_misses"] == 0
+        assert dict(lines[0], cache_misses=0) == dict(first[-1], cache_misses=0)
 
     def test_deadline_error_is_504(self):
         async def t(port):
@@ -202,7 +245,8 @@ class _LineFeed:
     async def readline(self):
         if not self._lines:
             return b""
-        return (self._lines.pop(0) + "\n").encode()
+        line = self._lines.pop(0)
+        return line + b"\n" if isinstance(line, bytes) else (line + "\n").encode()
 
 
 class TestStdio:
@@ -247,6 +291,22 @@ class TestStdio:
         oks = [d for d in docs if d.get("id") == 3]
         assert errors and "not JSON" in errors[0]["result"]["error"]
         assert oks and oks[0]["result"]["op"] == "stats"
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [("[1,2]", "JSON object"), ('"x"', "JSON object"),
+         ("3", "JSON object"), (b"\xff", "not JSON"),
+         ("[" * 100000, "not JSON")],
+        ids=["list", "string", "number", "not-utf8", "nested-too-deep"],
+    )
+    def test_non_object_line_reports_error_and_continues(self, line, error):
+        docs = self._run([
+            line,
+            json.dumps({"id": 3, "request": {"op": "stats"}}),
+        ])
+        assert [doc["id"] for doc in docs] == [None, 3]
+        assert error in docs[0]["result"]["error"]
+        assert docs[1]["result"]["op"] == "stats"
 
     def test_crashed_request_does_not_swallow_siblings(self):
         """An exception escaping one request's task must still let the

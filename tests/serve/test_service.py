@@ -1,6 +1,7 @@
 """Tests for the coalescing, store-backed analysis service."""
 
 import asyncio
+import copy
 import threading
 
 import pytest
@@ -79,6 +80,7 @@ class TestOps:
         assert doc["op"] == "stats"
         assert doc["counters"]["requests"] == 2
         assert doc["counters"]["waves"] >= 1
+        assert doc["answer_memo"] == {"entries": 1, "hits": 0}
         assert "store" not in doc  # memory-only service
 
 
@@ -160,6 +162,41 @@ class TestErrors:
             assert named in bad_result["error"]
         assert "error" not in good_result
         assert good_result["op"] == bad["op"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"op": "similarity", "scenario": dict(RING, marks={"p0"})},
+            {"op": "similarity", "scenario": RING, 1: "one"},
+        ],
+        ids=["set-value", "int-key-beside-str-keys"],
+    )
+    def test_request_json_cannot_encode_is_an_error(self, bad):
+        async def go():
+            async with AnalysisService() as service:
+                return await service.submit(bad), service.stats_doc()
+
+        result, stats = run(go())
+        assert "not a JSON document" in result["error"]
+        assert stats["counters"]["errors"] == 1
+        assert stats["counters"]["waves"] == 0
+
+    def test_cancelled_caller_never_fails_its_wave_mates(self):
+        async def go():
+            async with AnalysisService() as service:
+                gone = asyncio.ensure_future(
+                    service.submit({"op": "explore", "spec": EXPLORE})
+                )
+                mate = asyncio.ensure_future(service.submit(
+                    {"op": "explore", "spec": dict(EXPLORE, max_depth=2)}
+                ))
+                await asyncio.sleep(0)  # both queued; the wave settles
+                gone.cancel()
+                return await mate, service.stats_doc()
+
+        mate, stats = run(go())
+        assert mate["verdict"] in ("certified", "violation")
+        assert stats["counters"]["errors"] == 0
 
     def test_witness_without_spec(self):
         async def go():
@@ -282,9 +319,10 @@ class TestCoalescing:
 
 class TestSimilarityMemo:
     def test_each_engine_reports_its_own_stats(self):
-        """The memo is keyed by fingerprint *and* engine: a signatures
-        request after a worklist one for the same system is solved by
-        the signatures engine, not answered with the worklist result."""
+        """Answers are keyed by the whole request and summaries by
+        fingerprint *and* engine: a signatures request after a worklist
+        one for the same system is solved by the signatures engine, not
+        answered with the worklist result."""
         scenario = {"topology": "ring", "size": 6, "marks": ["p0"]}
 
         async def go():
@@ -311,6 +349,175 @@ class TestSimilarityMemo:
             }
         assert signatures["stats"]["rounds"] == 6
         assert signatures["classes"] == worklist["classes"]
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper; returns its call list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestAnswerMemo:
+    def test_repeats_run_each_engine_once(self, monkeypatch):
+        from repro.analysis import explore, witness_engine
+
+        sweeps = _counting(monkeypatch, witness_engine, "run_sweep")
+        explorations = _counting(monkeypatch, explore, "run_explore")
+        solves = _counting(monkeypatch, batch, "batch_similarity")
+        requests = [
+            {"op": "witness", "spec": WITNESS},
+            {"op": "explore", "spec": EXPLORE},
+            {"op": "similarity", "scenario": MARKED_RING},
+        ]
+
+        async def go():
+            async with AnalysisService() as service:
+                rounds = []
+                for _ in range(3):
+                    rounds.append([await service.submit(r) for r in requests])
+                return rounds, service.stats_doc()
+
+        rounds, stats = run(go())
+        assert (len(sweeps), len(explorations), len(solves)) == (1, 1, 1)
+        first = rounds[0]
+        assert first[0]["cache_misses"] > 0
+        for repeat in rounds[1:]:
+            assert repeat[0]["cache_misses"] == 0
+            assert dict(repeat[0], cache_misses=0) == dict(
+                first[0], cache_misses=0
+            )
+            assert repeat[1:] == first[1:]
+        assert stats["answer_memo"] == {"entries": 3, "hits": 6}
+        assert stats["counters"]["waves"] == 3
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"op": "similarity", "scenario": RING, "engine": "nope"},
+            {"op": "explore", "spec": dict(EXPLORE, max_depth="3")},
+        ],
+        ids=["similarity", "explore"],
+    )
+    def test_errors_are_never_memoized(self, bad):
+        async def go():
+            async with AnalysisService() as service:
+                first = await service.submit(bad)
+                second = await service.submit(bad)
+                return first, second, service.stats_doc()
+
+        first, second, stats = run(go())
+        assert "error" in first and "error" in second
+        assert stats["counters"]["errors"] == 2
+        assert stats["counters"]["waves"] == 2
+        assert stats["answer_memo"] == {"entries": 0, "hits": 0}
+
+    def test_repeat_with_a_deadline_is_answered_from_the_memo(self):
+        async def go():
+            async with AnalysisService() as service:
+                first = await service.submit({"op": "explore", "spec": EXPLORE})
+                # Too short for a run (see TestDeadlines); a hit never
+                # waits.
+                again = await service.submit(
+                    {"op": "explore", "spec": EXPLORE, "deadline": 0.001}
+                )
+                return first, again, service.stats_doc()
+
+        first, again, stats = run(go())
+        assert again == first
+        assert stats["counters"]["deadline_errors"] == 0
+        assert stats["answer_memo"]["hits"] == 1
+
+    def test_mutating_an_answer_leaves_the_memo_alone(self):
+        request = {"op": "similarity", "scenario": MARKED_RING}
+
+        async def go():
+            async with AnalysisService() as service:
+                first = await service.submit(request)
+                expected = copy.deepcopy(first)
+                first["classes"][0].append("zz")
+                first["stats"]["rounds"] = -1
+                hit = await service.submit(request)
+                hit_before = copy.deepcopy(hit)
+                hit["classes"].clear()
+                return expected, hit_before, await service.submit(request)
+
+        expected, hit, next_hit = run(go())
+        assert hit == expected
+        assert next_hit == expected
+
+    def test_wave_mates_share_no_lists(self):
+        async def go():
+            async with AnalysisService() as service:
+                return await asyncio.gather(*(
+                    service.submit({"op": "similarity", "scenario": MARKED_RING})
+                    for _ in range(2)
+                ))
+
+        first, mate = run(go())
+        expected = copy.deepcopy(mate)
+        first["classes"][0].append("zz")
+        assert mate == expected
+
+    def test_repeat_queued_behind_its_first_run_is_answered_by_it(self):
+        entered, release = threading.Event(), threading.Event()
+        request = {"op": "similarity", "scenario": RING}
+
+        async def go():
+            async with AnalysisService() as service:
+                real = service._similarity_wave
+                calls = []
+
+                def held(requests):
+                    calls.append(len(requests))
+                    entered.set()
+                    release.wait(timeout=30)
+                    return real(requests)
+
+                service._similarity_wave = held
+                first = asyncio.ensure_future(service.submit(request))
+                try:
+                    # The engine thread now holds the first run.
+                    assert await asyncio.get_event_loop().run_in_executor(
+                        None, entered.wait, 30
+                    )
+                    repeat = asyncio.ensure_future(service.submit(request))
+                    await asyncio.sleep(0.02)  # queued behind it
+                finally:
+                    release.set()
+                answers = await asyncio.gather(first, repeat)
+                return answers, calls, service.stats_doc()
+
+        (first, repeat), calls, stats = run(go())
+        assert calls == [1]
+        assert repeat == first
+        assert stats["counters"]["waves"] == 1
+        assert stats["answer_memo"] == {"entries": 1, "hits": 1}
+
+    def test_fresh_similarity_request_fingerprints_its_system_once(
+        self, tmp_path, monkeypatch
+    ):
+        """The store key, the batch dedup and the summary all read one
+        memoized fingerprint."""
+        fingerprints = _counting(monkeypatch, batch, "system_fingerprint")
+
+        async def go():
+            async with AnalysisService(store_dir=str(tmp_path)) as service:
+                return await service.submit(
+                    {"op": "similarity", "scenario": MARKED_RING}
+                )
+
+        result = run(go())
+        assert len(fingerprints) == 1
+        assert result["fingerprint"] == batch.system_fingerprint(
+            build_scenario(MARKED_RING).system
+        )
 
 
 class TestStoreBacking:
@@ -348,7 +555,7 @@ class TestStoreBacking:
         monkeypatch.setattr(batch, "batch_similarity", never_computed)
         warm, warm_stats = run(serve_once())
         assert warm_stats["counters"]["similarity_summary_hits"] == 1
-        assert warm_stats["similarity_cache"] == {"summaries": 1}
+        assert warm_stats["answer_memo"] == {"entries": 1, "hits": 0}
         assert warm["classes"] == cold["classes"]
 
     def test_explore_orbit_memo_round_trips(self, tmp_path):
