@@ -8,14 +8,14 @@ whole and flushed one by one, so a killed process leaves at most one
 loader ignores it and the writer cuts the file back to the last newline
 before appending, so a resumed run redoes exactly that unit.  A
 malformed line anywhere else is damage, not an interrupted write, and
-stays an error.
+stays an error, named by file and line number.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Callable, List
+from typing import Any, Callable, List, Type
 
 
 def json_normalize(doc):
@@ -27,21 +27,24 @@ def load_checkpoint(
     path: str,
     header: str,
     spec_doc: dict,
-    error: Callable[[str], Exception],
+    error: Type[Exception],
     what: str,
-) -> List[dict]:
-    """The completion lines recorded in ``path`` ([] if it does not exist).
+    parse: Callable[[dict], Any],
+) -> List[Any]:
+    """The completion lines recorded in ``path`` ([] if it does not
+    exist), each as ``parse`` returns it; None drops a line.
 
     Every ``header`` line must record ``spec_doc`` (the spec of a
     ``what``); the comparison runs in JSON-normalized space, because
     tuple-valued spec fields survive as tuples in memory but come back
-    from disk as lists.  Failures raise ``error(message)``.
+    from disk as lists.  A line that ``parse`` cannot read is malformed.
+    Failures raise ``error(message)``.
     """
     if not os.path.exists(path):
         return []
     with open(path, "rb") as fh:
         data = fh.read()
-    lines: List[dict] = []
+    lines: List[Any] = []
     whole = data[: data.rfind(b"\n") + 1]
     for line_no, raw in enumerate(whole.splitlines(), 1):
         if not raw.strip():
@@ -58,8 +61,16 @@ def load_checkpoint(
                     f"checkpoint {path} records a different {what} spec "
                     f"({doc.get('spec')!r}); delete it or change the spec"
                 )
-        else:
-            lines.append(doc)
+            continue
+        try:
+            parsed = parse(doc)
+        except (AttributeError, LookupError, TypeError, ValueError, error) as exc:
+            raise error(
+                f"checkpoint {path}:{line_no} is not a valid {what} line "
+                f"({type(exc).__name__}: {exc}); delete it to start over"
+            ) from None
+        if parsed is not None:
+            lines.append(parsed)
     return lines
 
 

@@ -260,6 +260,8 @@ class Violation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Violation":
+        if doc["kind"] not in ("deadlock", "livelock", "invariant"):
+            raise ValueError(f"unknown violation kind {doc['kind']!r}")
         return cls(
             kind=doc["kind"],
             invariant=doc["invariant"],
@@ -555,9 +557,9 @@ class _KeyMaker:
     exactly, so it determines the canonical image, and a memo hit skips
     the whole minimal-image search.  The memo is sound by construction
     and can be pre-seeded from a persistent store (``orbits`` namespace,
-    keyed by the system fingerprint) so canonicalization work done by any
-    earlier run — another process, another CLI invocation, the serving
-    layer — is never repeated.  Freshly computed pairs are kept in
+    keyed by the system fingerprint) so canonicalization work done by an
+    earlier run over the same store (another process, an earlier service
+    lifetime) is never repeated.  Freshly computed pairs are kept in
     ``fresh`` for the caller to persist.
     """
 
@@ -1018,6 +1020,26 @@ def _pool_level(
     }
 
 
+def _parse_line(doc: dict):
+    """A level line as ``(depth, level document)``, the DFS tree line as
+    ``(None, tree document)``; None for a line of another kind.  Each
+    field goes through the conversion the resume gives it, so a line the
+    resume could not read fails here, before any work is done."""
+    if doc.get("kind") not in ("level", "tree"):
+        return None
+    result = doc["result"]
+    ExploreStats().merge(result["stats"])
+    set(result["expanded"])
+    sorted(result["probes"], key=lambda h: (h["depth"], h["schedule"], h["probe"]))
+    if result["violation"] is not None:
+        Violation.from_json(result["violation"])
+    if doc["kind"] == "tree":
+        return None, result
+    for schedule, digest in result["frontier"]:
+        set(schedule), bytes.fromhex(digest)
+    return int(doc["depth"]), result
+
+
 def _emit_progress(hub, shard: str, doc: dict, resumed: bool) -> None:
     if hub is None or not hub.active:
         return
@@ -1253,12 +1275,12 @@ def run_explore(
         if spec.symmetry:
             _load_orbit_memo(store, bundle.system, keys)
 
-    lines: List[dict] = []
+    lines: List[tuple] = []
     writer: Optional[CheckpointWriter] = None
     if checkpoint:
         lines = load_checkpoint(
             checkpoint, "explore-checkpoint", spec.to_json(), ExploreError,
-            "exploration",
+            "exploration", _parse_line,
         )
         writer = CheckpointWriter(
             checkpoint, "explore-checkpoint", spec.to_json(), fresh=not lines
@@ -1286,8 +1308,7 @@ def run_explore(
             # one in-process walk, checkpointed as one unit.
             workers, shards = 0, 1
             tree = next(
-                (doc["result"] for doc in lines if doc.get("kind") == "tree"),
-                None,
+                (result for depth, result in lines if depth is None), None
             )
             resumed = int(tree is not None)
             if tree is None:
@@ -1300,9 +1321,7 @@ def run_explore(
             account(tree)
         else:
             completed = {
-                int(doc["depth"]): doc["result"]
-                for doc in lines
-                if doc.get("kind") == "level"
+                depth: result for depth, result in lines if depth is not None
             }
             shards, resumed, pooled = _run_levels(
                 spec, new_walker, workers, completed, writer, hub, account
@@ -1498,7 +1517,7 @@ def verify_counterexample(header: Dict[str, Any]) -> Optional[str]:
     try:
         spec = ExploreSpec.from_json(header["explore"])
         violation = Violation.from_json(header["violation"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         return f"malformed explore header: {exc}"
     if violation.kind == "livelock":
         return _verify_livelock(spec, violation)

@@ -123,12 +123,11 @@ class WitnessRecord:
 
     @classmethod
     def from_json(cls, doc: dict) -> "WitnessRecord":
-        return cls(
-            n_processors=doc["p"],
-            n_names=doc["n"],
-            assignment=tuple(doc["a"]),
-            mark=doc["mark"],
-        )
+        p, n, mark = int(doc["p"]), int(doc["n"]), doc["mark"]
+        assignment = tuple(map(int, doc["a"]))
+        if len(assignment) != p * n or not (mark is None or isinstance(mark, str)):
+            raise ValueError(f"malformed witness record {doc!r}")
+        return cls(p, n, assignment, mark)
 
 
 @dataclass(frozen=True)
@@ -271,92 +270,18 @@ class DecisionCache:
     to a journal; :meth:`drain_journal` hands the delta since the last
     drain to whoever needs to replicate it (the parent merging worker
     results, the checkpoint writer) without re-serializing the whole
-    cache.
-
-    Attaching a :class:`~repro.store.ContentStore` makes the cache
-    *load-through/write-behind*: the first lookup of a canonical form
-    consults the store's ``decisions`` namespace and folds any persisted
-    bucket in (so a decision computed by any earlier process — another
-    CLI run, a pool worker, the serving layer — counts as a hit, never a
-    recompute), and every freshly computed decision is staged back to
-    the store, flushed in batches.  ``store_hits``/``store_misses``
-    count those first-touch bucket loads.
+    cache.  The cache lives in memory: share one across sweeps to reuse
+    its decisions, as the service does for its whole life.
     """
 
-    def __init__(self, store=None) -> None:
+    def __init__(self) -> None:
         self._buckets: Dict[bytes, List[_CacheEntry]] = {}
         self._journal: List[Tuple[bytes, WitnessRecord, str, bool]] = []
         self.hits = 0
         self.misses = 0
-        self.store_hits = 0
-        self.store_misses = 0
-        self._store = None
-        self._store_seen: set = set()
-        if store is not None:
-            self.attach_store(store)
-
-    def attach_store(self, store) -> None:
-        """Back this cache with a persistent :class:`ContentStore`."""
-        from ..store import NS_DECISIONS
-
-        store.register_merge(NS_DECISIONS, _merge_decision_docs)
-        self._store = store
-
-    def detach_store(self) -> None:
-        """Drop the store handle (degraded mode): lookups and new
-        decisions stay memory-only; un-flushed write-behind entries are
-        abandoned with it.  Safe to call storeless; idempotent."""
-        self._store = None
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
-
-    # -- store backing -------------------------------------------------
-
-    def _bucket_doc(self, form: bytes) -> dict:
-        """The persistent document of one form bucket (decided entries)."""
-        return {
-            "entries": sorted(
-                (
-                    [entry.record.to_json(), dict(entry.decisions)]
-                    for entry in self._buckets.get(form, ())
-                    if entry.decisions
-                ),
-                key=lambda item: json.dumps(item[0], sort_keys=True),
-            )
-        }
-
-    def _load_through(self, form: bytes) -> None:
-        """First-touch load of a form's persisted bucket, if any."""
-        if self._store is None or form in self._store_seen:
-            return
-        self._store_seen.add(form)
-        from ..store import NS_DECISIONS
-
-        doc = self._store.get(NS_DECISIONS, form)
-        if doc is None:
-            self.store_misses += 1
-            return
-        self.store_hits += 1
-        wire = form_to_wire(form)
-        self.merge(
-            [
-                (wire, record_doc, decisions)
-                for record_doc, decisions in doc.get("entries", ())
-            ]
-        )
-
-    def _write_behind(self, form: bytes) -> None:
-        if self._store is None:
-            return
-        from ..store import NS_DECISIONS
-
-        self._store.put(NS_DECISIONS, form, self._bucket_doc(form))
-
-    def flush_store(self) -> None:
-        """Flush staged write-behind entries to disk (no-op storeless)."""
-        if self._store is not None:
-            self._store.flush()
 
     # -- lookups -------------------------------------------------------
 
@@ -369,7 +294,6 @@ class DecisionCache:
         sched: ScheduleClass,
     ) -> _CacheEntry:
         """The iso-class entry of ``probe``, created if novel."""
-        self._load_through(form)
         bucket = self._buckets.setdefault(form, [])
         for entry in bucket:
             if entry.record == record or are_isomorphic(
@@ -392,7 +316,6 @@ class DecisionCache:
         possible = decide_selection(entry.record.system(iset, sched)).possible
         entry.decisions[label] = possible
         self._journal.append((entry.form, entry.record, label, possible))
-        self._write_behind(entry.form)
         return possible
 
     # -- snapshots and journals (cross-process / checkpoint form) ------
@@ -427,13 +350,16 @@ class DecisionCache:
         Entries are matched by exact record equality (cheap); a
         same-class different-representative entry just coexists in the
         bucket and still iso-matches on lookup.  A form key in any shape
-        but ``"b:" + hex`` is a :class:`WitnessSearchError`."""
+        but ``"b:" + hex`` is a :class:`WitnessSearchError`; a decision
+        that is not a bool is a ``ValueError``."""
         for wire, record_doc, decisions in snapshot:
             try:
                 form = form_from_wire(wire)
             except ValueError as exc:
                 raise WitnessSearchError(f"malformed cache entry: {exc}") from None
             record = WitnessRecord.from_json(record_doc)
+            if not all(type(possible) is bool for possible in decisions.values()):
+                raise ValueError(f"decisions {decisions!r} are not all booleans")
             bucket = self._buckets.setdefault(form, [])
             for entry in bucket:
                 if entry.record == record:
@@ -442,26 +368,6 @@ class DecisionCache:
                     break
             else:
                 bucket.append(_CacheEntry(form, record, decisions))
-
-
-def _merge_decision_docs(existing: dict, new: dict) -> dict:
-    """Store-level merge of two persisted form buckets (union of entries,
-    union of each entry's decisions) — concurrent writers extend, never
-    clobber, one another."""
-    merged: Dict[str, Tuple[dict, Dict[str, bool]]] = {}
-    for doc in (existing, new):
-        for record_doc, decisions in doc.get("entries", ()):
-            key = json.dumps(record_doc, sort_keys=True)
-            if key in merged:
-                merged[key][1].update(decisions)
-            else:
-                merged[key] = (record_doc, dict(decisions))
-    return {
-        "entries": [
-            [record_doc, decisions]
-            for _key, (record_doc, decisions) in sorted(merged.items())
-        ]
-    }
 
 
 class DedupIndex:
@@ -550,15 +456,13 @@ class ShardStats:
     witnesses: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    store_hits: int = 0
-    store_misses: int = 0
 
     def to_json(self) -> dict:
         return dict(self.__dict__)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ShardStats":
-        return cls(**doc)
+        return cls(**{key: int(value) for key, value in doc.items()})
 
 
 def _sweep_shard(
@@ -568,7 +472,6 @@ def _sweep_shard(
     w_iset, w_sched = spec.weak_model
     stats = ShardStats()
     hits_before, misses_before = cache.hits, cache.misses
-    shits_before, smisses_before = cache.store_hits, cache.store_misses
     dedup = DedupIndex()
     found: List[WitnessRecord] = []
     for record in _iter_shard_records(spec, shard):
@@ -587,8 +490,6 @@ def _sweep_shard(
     stats.witnesses = len(found)
     stats.cache_hits = cache.hits - hits_before
     stats.cache_misses = cache.misses - misses_before
-    stats.store_hits = cache.store_hits - shits_before
-    stats.store_misses = cache.store_misses - smisses_before
     return found, stats
 
 
@@ -599,18 +500,12 @@ def _sweep_shard(
 _WORKER: Dict[str, object] = {}
 
 
-def _pool_init(spec_doc: dict, seed: list, store_root: Optional[str]) -> None:
+def _pool_init(spec_doc: dict, seed: list) -> None:
     """Pool-worker initializer: build the spec once and seed the
     persistent cache from the parent's snapshot (sent once per worker,
-    not per task).  With a store root, each worker opens its own handle
-    on the shared on-disk store, so decisions persisted by any earlier
-    run load through."""
+    not per task)."""
     spec = SweepSpec.from_json(spec_doc)
     cache = DecisionCache()
-    if store_root is not None:
-        from ..store import ContentStore
-
-        cache.attach_store(ContentStore(store_root))
     cache.merge(seed)
     _WORKER.update(spec=spec, cache=cache)
 
@@ -623,7 +518,6 @@ def _run_shard_task(shard_doc) -> tuple:
     cache: DecisionCache = _WORKER["cache"]
     cache.drain_journal()  # discard leftovers of an aborted earlier task
     found, stats = _sweep_shard(spec, _shard_from_doc(shard_doc), cache)
-    cache.flush_store()  # new decisions become visible to other workers
     return (
         shard_doc,
         [r.to_json() for r in found],
@@ -642,25 +536,27 @@ def _shard_doc(shard: ShardKey) -> list:
 
 
 def _shard_from_doc(doc) -> ShardKey:
-    return (doc[0], doc[1], tuple(doc[2]))
+    return (int(doc[0]), int(doc[1]), tuple(map(int, doc[2])))
 
 
 def _load_checkpoint(
-    path: str, spec: SweepSpec
-) -> Dict[ShardKey, Tuple[List[WitnessRecord], ShardStats, list]]:
-    """Completed shards recorded in ``path`` (empty if the file is new)."""
-    lines = load_checkpoint(
-        path, "witness-sweep", spec.to_json(), WitnessSearchError, "sweep"
-    )
-    return {
-        _shard_from_doc(doc["shard"]): (
+    path: str, spec: SweepSpec, cache: DecisionCache
+) -> Dict[ShardKey, Tuple[List[WitnessRecord], ShardStats]]:
+    """Completed shards recorded in ``path`` (empty if the file is new);
+    their decisions are merged into ``cache``."""
+
+    def parse(doc: dict):
+        if doc.get("kind") != "shard":
+            return None
+        cache.merge(doc["cache"])
+        return _shard_from_doc(doc["shard"]), (
             [WitnessRecord.from_json(r) for r in doc["records"]],
             ShardStats.from_json(doc["counters"]),
-            [tuple(e) for e in doc.get("cache", [])],
         )
-        for doc in lines
-        if doc.get("kind") == "shard"
-    }
+
+    return dict(load_checkpoint(
+        path, "witness-sweep", spec.to_json(), WitnessSearchError, "sweep", parse
+    ))
 
 
 def _shard_line(
@@ -745,7 +641,6 @@ def run_sweep(
     cache: Optional[DecisionCache] = None,
     checkpoint: Optional[str] = None,
     hub=None,
-    store=None,
 ) -> SweepResult:
     """Run a witness sweep, sharded and cached.
 
@@ -763,11 +658,6 @@ def run_sweep(
             spec) those shards are not re-run.
         hub: optional :class:`~repro.obs.events.EventHub` for
             ``WitnessSearchProgress`` / ``WitnessFound`` events.
-        store: optional persistent decision store — a
-            :class:`~repro.store.ContentStore` or a directory path.  The
-            cache loads decisions through it and writes new ones behind,
-            so sweeps share work across processes and runs; pool workers
-            open their own handles on the same directory.
 
     Returns:
         A :class:`SweepResult` whose ``witnesses`` match the serial
@@ -780,23 +670,13 @@ def run_sweep(
     if workers <= 1:
         workers = 0
     cache = cache if cache is not None else DecisionCache()
-    store_root: Optional[str] = None
-    if store is not None:
-        if isinstance(store, str):
-            from ..store import ContentStore
-
-            store = ContentStore(store)
-        store_root = store.root
-        cache.attach_store(store)
 
     t0 = time.perf_counter()
     plan = shard_plan(spec)
-    completed: Dict[ShardKey, Tuple[List[WitnessRecord], ShardStats, list]] = {}
+    completed: Dict[ShardKey, Tuple[List[WitnessRecord], ShardStats]] = {}
     writer: Optional[CheckpointWriter] = None
     if checkpoint:
-        completed = _load_checkpoint(checkpoint, spec)
-        for _records, _stats, cache_delta in completed.values():
-            cache.merge(cache_delta)
+        completed = _load_checkpoint(checkpoint, spec, cache)
         writer = CheckpointWriter(
             checkpoint, "witness-sweep", spec.to_json(), fresh=not completed
         )
@@ -811,7 +691,7 @@ def run_sweep(
             setattr(total, key, getattr(total, key) + value)
 
     plan_set = set(plan)
-    for shard, (records, stats, _delta) in completed.items():
+    for shard, (records, stats) in completed.items():
         if shard in plan_set:
             resumed += 1
             account(shard, records, stats)
@@ -843,7 +723,7 @@ def run_sweep(
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_pool_init,
-                initargs=(spec.to_json(), cache.snapshot(), store_root),
+                initargs=(spec.to_json(), cache.snapshot()),
             ) as pool:
                 futures = {
                     pool.submit(_run_shard_task, _shard_doc(shard)): shard
@@ -865,7 +745,6 @@ def run_sweep(
     finally:
         if writer:
             writer.close()
-        cache.flush_store()
 
     merged = _merge_results(spec, [per_shard[s] for s in plan if s in per_shard])
     s_iset, s_sched = spec.strong_model

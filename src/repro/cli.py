@@ -23,8 +23,8 @@ Gives the library's main analyses a shell-friendly surface:
 * ``bench NAME`` -- regenerate one committed ``BENCH_<NAME>.json``
   (``refinement``, ``mp_faults``, ``witness``, ``explore``,
   ``parametric`` or ``serve``); exits 1 if the bench's gate fails;
-* ``store-gc`` -- decision-store garbage collector: usage report,
-  LRU eviction under a byte cap, compaction, health check;
+* ``store-gc`` -- garbage collector of ``serve``'s content store: usage
+  report, LRU eviction under a byte cap, compaction, health check;
 * ``trace`` -- record a run as a replayable JSONL trace;
 * ``trace-mp`` -- record a message-passing run (with optional channel
   faults, crash-stops, and stubborn retransmission) as a trace;
@@ -964,8 +964,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--stdio", action="store_true",
                        help="serve JSON lines on stdin/stdout (EOF stops)")
     serve.add_argument("--store", metavar="DIR", default=None,
-                       help="content-addressed decision store directory "
-                            "(omit to run memory-only)")
+                       help="content store directory: similarity "
+                            "summaries, orbit maps (omit: memory-only)")
     serve.add_argument(
         "--workers", type=_positive_workers, default=None,
         help="engine process-pool size per job (1 = serial, the default)",
@@ -1002,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     store_gc = sub.add_parser(
         "store-gc",
-        help="decision-store garbage collector: usage, eviction, compaction",
+        help="content-store garbage collector: usage, eviction, compaction",
     )
     store_gc.add_argument("dir", help="content-addressed store directory")
     store_gc.add_argument("--max-bytes", type=int, default=None,

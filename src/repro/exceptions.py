@@ -58,8 +58,8 @@ class FamilyError(ReproError):
 
 
 class WitnessSearchError(ReproError):
-    """The witness-sweep engine was misconfigured (unknown model labels,
-    or a checkpoint recorded for a different sweep specification)."""
+    """The witness-sweep engine was misconfigured (unknown model labels),
+    or its checkpoint is damaged or records a different sweep spec."""
 
 
 class WitnessRecordError(ReproError):
@@ -76,8 +76,8 @@ class ParametricError(ReproError):
 
 class ExploreError(ReproError):
     """The schedule-space explorer was misconfigured (bad specification,
-    unknown invariant or probe names, or a checkpoint recorded for a
-    different exploration)."""
+    unknown invariant or probe names), or its checkpoint is damaged or
+    records a different exploration."""
 
 
 class ServeError(ReproError):

@@ -4,10 +4,10 @@ An asyncio front end over the analysis engines: scenario specs in the
 existing JSON-able registry vocabulary arrive over HTTP or stdio,
 concurrent requests are coalesced into :func:`~repro.perf.batch
 .batch_similarity` / witness-sweep / exploration waves, and obs events
-stream back while jobs run.  Every wave works through the persistent
-content-addressed store (:mod:`repro.store`), so decisions, similarity
-summaries and orbit canonical keys computed for one request are free for
-every later one — in this process or any other.
+stream back while jobs run.  A repeated request is answered from an
+in-process memo; similarity summaries and orbit canonical keys also go
+to the persistent content-addressed store (:mod:`repro.store`), so a
+later process over the same directory reuses them.
 
 Entry points: ``python -m repro serve`` (HTTP and/or stdio front ends)
 and ``python -m repro bench serve`` (seeded concurrent load generator;

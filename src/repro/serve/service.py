@@ -25,8 +25,8 @@ Four mechanisms stack:
   from the memo when its wave is taken.  Every answer, first or
   repeat, is decoded afresh from JSON text, so callers share no lists,
   and a witness hit reports ``cache_misses: 0``, as it decided
-  nothing.  The memo is not persisted; the store below it is the
-  cross-process layer.
+  nothing.  Past :data:`_ANSWER_MEMO_BYTES` the least recently used
+  answers go.  The store below it is the cross-process layer.
 * **Coalescing** -- requests queue per op kind; a wave is whatever is
   queued once the wave loop has let the event loop make a few passes
   (no timer), so requests already in flight join it and requests that
@@ -35,12 +35,12 @@ Four mechanisms stack:
   engine over the distinct unsolved systems in the wave;
   witness/explore waves dedup identical specs so concurrent equal
   requests share one run.
-* **Store backing** -- one :class:`~repro.store.ContentStore` (optional
-  but recommended) persists selection decisions (through the shared
-  :class:`~repro.analysis.witness_engine.DecisionCache`), similarity
-  summaries (keyed by system fingerprint + engine), and orbit canonical
-  keys, so answers computed for any request — or any earlier process —
-  are reused, not recomputed.
+* **Store backing** -- one :class:`~repro.store.ContentStore` (optional)
+  persists similarity summaries (keyed by system fingerprint + engine)
+  and the explorer's orbit canonical keys, so a later service process
+  reuses them.  Selection decisions stay in memory: one
+  :class:`~repro.analysis.witness_engine.DecisionCache` serves every
+  witness request and model pair for the life of the service.
 * **Event streaming** -- a request may subscribe to obs events
   (``WitnessSearchProgress``, ``ExplorationProgress``, ...); the wave
   runs in a worker thread and forwards each event back onto the event
@@ -76,6 +76,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional
 
@@ -100,6 +101,10 @@ _SHUTDOWN = object()
 #: threads trade the GIL back and forth for it.  Passes wait for no
 #: timer: 16 of them take under 0.2 ms on an idle loop.
 _SETTLE_PASSES = 16
+
+#: Byte cap of the answer memo's keys and answers (ASCII JSON text).
+#: perfbench ``serve``'s 438 distinct answers take about 0.8 MB.
+_ANSWER_MEMO_BYTES = 32 * 1024 * 1024
 
 
 class _EventForwarder:
@@ -171,11 +176,10 @@ class AnalysisService:
             float(default_deadline) if default_deadline is not None else None
         )
         self.decisions = DecisionCache()
-        if self.store is not None:
-            self.decisions.attach_store(self.store)
-        # Request key -> JSON text of its answer; touched on the event
-        # loop only.
-        self._answers: Dict[str, str] = {}
+        # Request key -> JSON text of its answer, least recently used
+        # first; touched on the event loop only.
+        self._answers: "OrderedDict[str, str]" = OrderedDict()
+        self._answer_bytes = 0
         self._answer_hits = 0
         self.counters: Dict[str, int] = {
             "requests": 0,
@@ -260,7 +264,6 @@ class AnalysisService:
             return
         self.store = None
         self.store_degraded = reason
-        self.decisions.detach_store()
         if self.hub.active:
             self.hub.emit(ServeDegraded(reason=reason))
 
@@ -430,6 +433,7 @@ class AnalysisService:
         text = self._answers.get(key)
         if text is None:
             return None
+        self._answers.move_to_end(key)
         self._answer_hits += 1
         answer = json.loads(text)
         if answer.get("op") == "witness":
@@ -438,13 +442,18 @@ class AnalysisService:
 
     def _resolve(self, key: str, group: List[_Pending], result: dict) -> None:
         """Answer one job group and memoize the answer unless it is an
-        error.  Every caller decodes its own copy of the JSON text, so
-        no two callers, and no caller and the memo, share a list.  A
-        caller that was cancelled while it waited is skipped, never
-        allowed to fail its wave-mates."""
+        error, evicting least recently used answers past the cap.  Every
+        caller decodes its own copy of the JSON text, so no two callers,
+        and no caller and the memo, share a list.  A caller that was
+        cancelled while it waited is skipped, never allowed to fail its
+        wave-mates."""
         text = json.dumps(result)
         if "error" not in result:
             self._answers[key] = text
+            self._answer_bytes += len(key) + len(text)
+            while self._answer_bytes > _ANSWER_MEMO_BYTES:
+                old_key, old_text = self._answers.popitem(last=False)
+                self._answer_bytes -= len(old_key) + len(old_text)
         for pending in group:
             if not pending.future.done():
                 pending.future.set_result(json.loads(text))
@@ -584,13 +593,7 @@ class AnalysisService:
             raise ServeError("witness request needs a 'spec' object")
         spec = SweepSpec.from_json(spec_doc)
         misses_before = self.decisions.misses
-        result = run_sweep(
-            spec,
-            workers=workers,
-            cache=self.decisions,
-            hub=hub,
-            store=self.store,
-        )
+        result = run_sweep(spec, workers=workers, cache=self.decisions, hub=hub)
         return {
             "op": "witness",
             "spec": spec.to_json(),
@@ -636,8 +639,6 @@ class AnalysisService:
                 "entries": len(self.decisions),
                 "hits": self.decisions.hits,
                 "misses": self.decisions.misses,
-                "store_hits": self.decisions.store_hits,
-                "store_misses": self.decisions.store_misses,
             },
             "answer_memo": {
                 "entries": len(self._answers),

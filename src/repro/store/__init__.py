@@ -1,17 +1,16 @@
-"""Persistent content-addressed decision store (:mod:`repro.store`).
+"""Persistent content-addressed store (:mod:`repro.store`).
 
-One shared disk directory behind every in-memory cache: selection
-decisions, similarity labelings, and orbit canonical keys computed by
-any process become available to every other process — CLI runs, pool
-workers, the :mod:`repro.serve` front end, and CI — keyed by canonical
-byte encodings so addresses are hash-seed and interpreter independent.
+One shared disk directory behind two in-memory memos: the similarity
+summaries :mod:`repro.serve` computes and the explorer's orbit
+canonical keys, keyed by canonical byte encodings so addresses are
+hash-seed and interpreter independent.  Only ``serve`` and ``bench``
+take a ``--store`` directory.
 """
 
 from .content import ContentStore, StoreError, StoreStats
 from .gc import GCReport, NamespaceUsage, check, collect, enforce_cap, usage
 
 #: Store namespaces used across the codebase (one place, no typos).
-NS_DECISIONS = "decisions"
 NS_SIMILARITY = "similarity"
 NS_ORBITS = "orbits"
 
@@ -25,7 +24,6 @@ __all__ = [
     "collect",
     "enforce_cap",
     "usage",
-    "NS_DECISIONS",
     "NS_SIMILARITY",
     "NS_ORBITS",
 ]

@@ -1,14 +1,13 @@
 """Content-addressed on-disk store: the persistent layer behind every cache.
 
-The analysis engines memoize aggressively in memory — selection
-decisions per canonical form (:class:`~repro.analysis.witness_engine
-.DecisionCache`), the serving layer's similarity summaries per system
-fingerprint and engine, and orbit canonical keys per exploration
-state — but every process starts cold.  The
+The serving layer memoizes similarity summaries per system fingerprint
+and engine, and the explorer memoizes orbit canonical keys per
+exploration state, but every process starts cold.  The
 :class:`ContentStore` makes those memos durable and *shared*: one
 directory holds every ``(namespace, key bytes) -> JSON document``
-mapping ever computed, addressable from any process (CLI runs, pool
-workers, the serving layer, CI) at the cost of one small file read.
+mapping ever computed, addressable from any process (a later service,
+another service on the same directory, the ``serve`` bench) at the cost
+of one small file read.
 
 Design points:
 
@@ -27,11 +26,11 @@ Design points:
   (``merge(existing_value, new_value) -> value``); flushing an entry
   whose file already exists folds the two documents together instead of
   blindly overwriting, so concurrent writers grow a shared entry (e.g.
-  the decision list of one canonical-form bucket) instead of clobbering
-  each other.  A lost race between processes costs a recompute later,
-  never correctness; within one handle a lock serializes staging,
-  reads and flushes, so threads sharing it (the service's event loop
-  and engine thread) lose nothing.
+  the orbit map of one system) instead of clobbering each other.  A
+  lost race between processes costs a recompute later, never
+  correctness; within one handle a lock serializes staging, reads and
+  flushes, so threads sharing it (the service's event loop and engine
+  thread) lose nothing.
 * **Atomicity** -- every write lands via temp-file + :func:`os.replace`
   in the same directory, so readers only ever observe complete files.
 * **Quarantine, not crashes** -- a corrupt or truncated entry (invalid

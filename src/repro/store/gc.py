@@ -1,8 +1,8 @@
 """Garbage collection for the content-addressed store.
 
-A long-lived store grows without bound: every decision, similarity
-summary, and orbit map ever computed stays on disk forever.  This
-module is the lifecycle half of :mod:`repro.store`:
+A long-lived store grows without bound: every similarity summary and
+orbit map ever computed, and any namespace no longer read, stays on
+disk forever.  This module is the lifecycle half of :mod:`repro.store`:
 
 * :func:`usage` — per-namespace entry counts and byte sizes, the
   accounting every policy decision starts from;

@@ -1,4 +1,4 @@
-"""Checkpoint spec-compare regressions: JSON round-trip normalization.
+"""Checkpoint resume regressions: spec normalization and damaged lines.
 
 A checkpoint stores ``spec.to_json()`` serialized to disk, where JSON
 turns tuples into lists.  The resume path used to compare the reloaded
@@ -6,15 +6,22 @@ document against the in-memory ``spec.to_json()`` with raw ``!=`` — so
 any tuple-valued field in the live spec document falsely failed the
 "same spec" check and rejected a perfectly valid resume.  Both engines
 now normalize each side through a JSON round-trip before comparing.
+
+A whole line that its engine cannot read (a missing key, a value of the
+wrong shape, a counter this version does not keep) is damage: resume
+rejects it with the engine's own error, naming the file, never with a
+raw ``KeyError`` or ``TypeError`` from deep inside the resume.
 """
 
 import json
+import re
 
 import pytest
 
 from repro.analysis.explore import ExploreSpec, run_explore
 from repro.analysis.witness_engine import SweepSpec, run_sweep
-from repro.exceptions import ExploreError
+from repro.cli import main
+from repro.exceptions import ExploreError, WitnessSearchError
 
 RING3 = {"topology": "ring", "size": 3, "model": "Q", "marks": ["p0"]}
 
@@ -96,3 +103,122 @@ class TestWitnessCheckpointNormalization:
         ]
         again = run_sweep(spec, workers=1, checkpoint=str(ck))
         assert again.resumed_shards == whole.shards
+
+
+SWEEP = SweepSpec(weaker="Q", stronger="L", max_processors=2,
+                  max_names=2, max_variables=2)
+RING3_Q = ExploreSpec(
+    scenario={"topology": "ring", "size": 3, "model": "Q"}, max_depth=4
+)
+
+
+def _any_line(doc):
+    return True
+
+
+def _damage(path, kind, edit, first_with=_any_line):
+    """Apply ``edit`` to the first ``kind`` line of the checkpoint at
+    ``path`` that ``first_with`` accepts, rewriting it as a whole line."""
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        doc = json.loads(line)
+        if doc.get("kind") == kind and first_with(doc):
+            edit(doc)
+            lines[i] = json.dumps(doc, sort_keys=True)
+            break
+    else:
+        raise AssertionError(f"no {kind} line to damage in {path}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _forget(key):
+    return lambda doc: doc.pop(key)
+
+
+def _set(key, value):
+    return lambda doc: doc.update({key: value})
+
+
+class TestDamagedWitnessCheckpoint:
+    CASES = {
+        "extra-counter": (
+            lambda doc: doc["counters"].update(bogus=1), _any_line
+        ),
+        "no-shard": (_forget("shard"), _any_line),
+        "records-a-number": (_set("records", 7), _any_line),
+        "record-without-n": (
+            lambda doc: doc["records"][0].pop("n"), lambda doc: doc["records"]
+        ),
+        "form-key-not-hex": (
+            lambda doc: doc["cache"][0].__setitem__(0, "b:zz"),
+            lambda doc: doc["cache"],
+        ),
+        # Trusted, a string decision reads "" as no and "x" as yes, and
+        # the resumed sweep reports a witness the checkpoint never held.
+        "decision-not-a-bool": (
+            lambda doc: doc["cache"][0].__setitem__(2, {"Q": "", "L": "x"}),
+            lambda doc: doc["cache"],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_malformed_shard_line_is_a_witness_search_error(self, tmp_path, case):
+        ck = tmp_path / "sweep.ckpt.jsonl"
+        run_sweep(SWEEP, workers=1, checkpoint=str(ck))
+        edit, first_with = self.CASES[case]
+        _damage(ck, "shard", edit, first_with)
+        with pytest.raises(WitnessSearchError, match=re.escape(str(ck))):
+            run_sweep(SWEEP, workers=1, checkpoint=str(ck))
+
+    def test_pre_change_counters_are_rejected(self, tmp_path):
+        """A checkpoint written when the sweep kept store counters: its
+        shards carry ``store_hits``/``store_misses``, which this version
+        does not read, so resume names the file instead of trusting it."""
+        ck = tmp_path / "sweep.ckpt.jsonl"
+        run_sweep(SWEEP, workers=1, checkpoint=str(ck))
+        lines = [json.loads(line) for line in ck.read_text().splitlines()]
+        for doc in lines:
+            if doc["kind"] == "shard":
+                doc["counters"].update(store_hits=0, store_misses=1)
+        ck.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
+        with pytest.raises(WitnessSearchError, match=re.escape(str(ck))):
+            run_sweep(SWEEP, workers=1, checkpoint=str(ck))
+
+
+class TestDamagedExploreCheckpoint:
+    CASES = {
+        "no-depth": _forget("depth"),
+        "result-a-number": _set("result", 3),
+        "result-without-stats": lambda doc: doc["result"].pop("stats"),
+        "violation-without-kind": lambda doc: doc["result"].update(
+            violation={"invariant": "", "depth": 1, "schedule": ["p0"],
+                       "detail": "edited in"}
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_malformed_level_line_is_an_explore_error(self, tmp_path, case):
+        ck = tmp_path / "explore.ckpt.jsonl"
+        run_explore(RING3_Q, workers=1, checkpoint=str(ck))
+        _damage(ck, "level", self.CASES[case])
+        with pytest.raises(ExploreError, match=re.escape(str(ck))):
+            run_explore(RING3_Q, workers=1, checkpoint=str(ck))
+
+
+class TestDamagedCheckpointOnTheCommandLine:
+    @pytest.mark.parametrize("argv,kind,key", [
+        (["witness", "Q", "L", "--max-processors", "2",
+          "--max-variables", "2", "--workers", "1"], "shard", "shard"),
+        (["explore", "ring", "3", "--model", "Q", "--max-depth", "4",
+          "--workers", "1"], "level", "depth"),
+    ])
+    def test_exits_with_one_line_naming_the_file(
+        self, tmp_path, capsys, argv, kind, key
+    ):
+        ck = tmp_path / "ck.jsonl"
+        argv = argv + ["--checkpoint", str(ck)]
+        main(argv)
+        _damage(ck, kind, _forget(key))
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert str(ck) in str(exit_info.value.code)

@@ -47,11 +47,8 @@ class TestRunServeBench:
         assert doc["ok"] is True
 
         det = doc["determinism"]
-        # The store's contract, as data:
-        assert det["warm_witness_cache_misses"] == 0
         assert det["cold_warm_agree"] is True
         assert len(det["results"]) == 8
-        assert det["store"]["decisions"] >= 0
         assert sum(det["workload"]["mix"].values()) == 8
         assert det["workload"]["seed"] == 7
         assert all(det["hardening"].values()) and len(det["hardening"]) == 5

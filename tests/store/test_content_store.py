@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.store import ContentStore, NS_DECISIONS
+from repro.store import ContentStore
 from repro.store.gc import check, collect
 
 
@@ -354,48 +354,53 @@ class TestOneValidityRule:
             )
 
 
-_WRITER = """
-import sys
-sys.path.insert(0, {src!r})
-from repro.analysis.witness_engine import DecisionCache, SweepSpec, run_sweep
-spec = SweepSpec(weaker="Q", stronger="L", max_processors=2,
-                 max_names=2, max_variables=2)
-result = run_sweep(spec, workers=1, store={root!r})
-print(len(result.witnesses), result.stats.cache_misses)
-"""
+_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
-_READER = """
-import sys
-sys.path.insert(0, {src!r})
-from repro.analysis.witness_engine import DecisionCache, SweepSpec, run_sweep
-spec = SweepSpec(weaker="Q", stronger="L", max_processors=2,
-                 max_names=2, max_variables=2)
-result = run_sweep(spec, workers=1, store={root!r})
-print(len(result.witnesses), result.stats.cache_misses)
-"""
+
+def _serve_stdio(root, requests):
+    """One ``python -m repro serve --stdio --store root`` process: each
+    request goes in only after the previous answer came out, so a
+    ``stats`` request sees every answer before it.  Returns the
+    answers."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--stdio", "--store", root],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=_SRC),
+    )
+    guard = threading.Timer(60, proc.kill)
+    guard.start()
+    try:
+        answers = []
+        for i, request in enumerate(requests):
+            proc.stdin.write(json.dumps({"id": i, "request": request}) + "\n")
+            proc.stdin.flush()
+            answers.append(json.loads(proc.stdout.readline())["result"])
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        guard.cancel()
+        if proc.poll() is None:
+            proc.kill()
+    return answers
 
 
 class TestCrossProcess:
     def test_two_processes_share_one_store(self, tmp_path):
-        """A sweep in process B reuses every decision process A stored."""
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        src = os.path.abspath(src)
+        """A service in process B answers a similarity request from the
+        summary process A stored, without refining again."""
         root = str(tmp_path / "shared")
+        requests = [
+            {"op": "similarity",
+             "scenario": {"topology": "ring", "size": 6, "marks": ["p0"]}},
+            {"op": "stats"},
+        ]
 
-        first = subprocess.run(
-            [sys.executable, "-c", _WRITER.format(src=src, root=root)],
-            capture_output=True, text=True, check=True,
-        )
-        witnesses_a, misses_a = map(int, first.stdout.split())
-        assert misses_a > 0  # cold: really computed something
+        first, first_stats = _serve_stdio(root, requests)
+        assert first_stats["counters"]["similarity_summary_hits"] == 0
 
-        second = subprocess.run(
-            [sys.executable, "-c", _READER.format(src=src, root=root)],
-            capture_output=True, text=True, check=True,
-        )
-        witnesses_b, misses_b = map(int, second.stdout.split())
-        assert witnesses_b == witnesses_a
-        assert misses_b == 0  # warm replay: every decision came from disk
+        second, second_stats = _serve_stdio(root, requests)
+        assert second_stats["counters"]["similarity_summary_hits"] == 1
+        assert second == first
 
     def test_basic_value_crosses_processes(self, tmp_path):
         root = str(tmp_path / "shared")
