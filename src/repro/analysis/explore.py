@@ -68,6 +68,7 @@ from ..core.orbits import StabilizerChainCanonicalizer
 from ..core.similarity import processor_similarity_classes
 from ..exceptions import ExploreError
 from ..io import system_to_dict
+from ..obs.events import ExplorationProgress, InvariantViolated, emit_if_active
 from ..obs.scenarios import ScenarioBundle, build_scenario, normalize_spec
 from ..obs.trace_io import TraceWriter
 from ..runtime.executor import Executor
@@ -555,12 +556,10 @@ class _KeyMaker:
     Under symmetry reduction the canonical key of a state is memoized by
     its *identity* key: the identity encoding determines the state
     exactly, so it determines the canonical image, and a memo hit skips
-    the whole minimal-image search.  The memo is sound by construction
-    and can be pre-seeded from a persistent store (``orbits`` namespace,
-    keyed by the system fingerprint) so canonicalization work done by an
-    earlier run over the same store (another process, an earlier service
-    lifetime) is never repeated.  Freshly computed pairs are kept in
-    ``fresh`` for the caller to persist.
+    the whole minimal-image search.  The memo is sound by construction,
+    so it can be loaded from a persistent store (``orbits`` namespace,
+    keyed by the system fingerprint) and saved back whole; ``computed``
+    counts the keys this maker had to search for.
     """
 
     def __init__(self, system, symmetry: bool) -> None:
@@ -572,33 +571,20 @@ class _KeyMaker:
         )
         self.group_size = self.canon.group_size if self.canon is not None else 1
         self.memo: Dict[bytes, bytes] = {}
-        self.fresh: Dict[bytes, bytes] = {}
-        self.memo_hits = 0
-        self.memo_misses = 0
+        self.computed = 0
 
     def key(self, proc_part, var_part, vectors: Tuple) -> bytes:
         """The (canonical or identity) byte key of one state."""
-        if self.canon is None:
-            return self.encoder.identity_key(proc_part, var_part, vectors)
         ident = self.encoder.identity_key(proc_part, var_part, vectors)
-        cached = self.memo.get(ident)
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        self.memo_misses += 1
-        key = self.canon.canonical_key(proc_part, var_part, vectors)
-        self.memo[ident] = key
-        self.fresh[ident] = key
+        if self.canon is None:
+            return ident
+        key = self.memo.get(ident)
+        if key is None:
+            key = self.memo[ident] = self.canon.canonical_key(
+                proc_part, var_part, vectors
+            )
+            self.computed += 1
         return key
-
-    def seed_memo(self, pairs: Dict[bytes, bytes]) -> None:
-        """Pre-load identity→canonical pairs (does not mark them fresh)."""
-        self.memo.update(pairs)
-
-    def drain_fresh(self) -> Dict[bytes, bytes]:
-        """Pairs computed since the last drain (for persistence)."""
-        fresh, self.fresh = self.fresh, {}
-        return fresh
 
 
 class _Node:
@@ -1040,35 +1026,9 @@ def _parse_line(doc: dict):
     return int(doc["depth"]), result
 
 
-def _emit_progress(hub, shard: str, doc: dict, resumed: bool) -> None:
-    if hub is None or not hub.active:
-        return
-    from ..obs.events import ExplorationProgress
-
-    stats = doc["stats"]
-    hub.emit(
-        ExplorationProgress(
-            shard=shard,
-            visited=stats["visited"],
-            expanded=stats["expanded"],
-            transitions=stats["transitions"],
-            violation=doc["violation"] is not None,
-            resumed=resumed,
-        )
-    )
-
-
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
-
-
-def _merge_orbit_docs(existing: dict, new: dict) -> dict:
-    """Store-level merge of two orbit-memo maps (plain union: both sides
-    map identity keys to *the* canonical key, so agreement is free)."""
-    merged = dict(existing.get("map", {}))
-    merged.update(new.get("map", {}))
-    return {"map": merged}
 
 
 def _orbit_store_key(system) -> bytes:
@@ -1077,37 +1037,31 @@ def _orbit_store_key(system) -> bytes:
     return bytes.fromhex(system.fingerprint)
 
 
-def _load_orbit_memo(store, system, keys: _KeyMaker) -> int:
-    """Seed ``keys`` from the persisted orbit memo; pairs loaded."""
+def _load_orbit_memo(store, system, keys: _KeyMaker) -> None:
+    """Seed ``keys`` from the system's ``orbits`` entry, if it has one."""
     from ..store import NS_ORBITS
 
-    store.register_merge(NS_ORBITS, _merge_orbit_docs)
     doc = store.get(NS_ORBITS, _orbit_store_key(system))
-    if doc is None:
-        return 0
-    pairs = {
-        bytes.fromhex(ident): bytes.fromhex(canon)
-        for ident, canon in doc.get("map", {}).items()
-    }
-    keys.seed_memo(pairs)
-    return len(pairs)
+    if doc is not None:
+        keys.memo.update(
+            (bytes.fromhex(ident), bytes.fromhex(canon))
+            for ident, canon in doc.get("map", {}).items()
+        )
 
 
-def _save_orbit_memo(store, system, keys: _KeyMaker) -> int:
-    """Persist freshly computed identity→canonical pairs; pairs saved."""
+def _save_orbit_memo(store, system, keys: _KeyMaker) -> None:
+    """Save the whole memo as the system's ``orbits`` entry, if this run
+    computed a key; a run served wholly from the entry writes nothing."""
     from ..store import NS_ORBITS
 
-    fresh = keys.drain_fresh()
-    if not fresh:
-        return 0
-    store.register_merge(NS_ORBITS, _merge_orbit_docs)
+    if not keys.computed:
+        return
     store.put(
         NS_ORBITS,
         _orbit_store_key(system),
-        {"map": {ident.hex(): canon.hex() for ident, canon in fresh.items()}},
+        {"map": {ident.hex(): canon.hex() for ident, canon in keys.memo.items()}},
     )
     store.flush()
-    return len(fresh)
 
 
 def _canonical_violation(
@@ -1144,8 +1098,7 @@ def _run_levels(
     workers: int,
     completed: Dict[int, dict],
     writer: Optional[CheckpointWriter],
-    hub,
-    account: Callable[[dict], None],
+    account: Callable[[dict, str, bool], None],
 ) -> Tuple[int, int, bool]:
     """The BFS loop: finish each level before starting the next.
 
@@ -1153,8 +1106,9 @@ def _run_levels(
     one chunk, and in-process otherwise: over live nodes when the
     previous level ran in-process too, else over replayed entries.
     Levels recorded in ``completed`` are not re-run.  Each level's
-    document goes to ``account``, the checkpoint and the hub as it
-    finishes.  Returns ``(levels, resumed levels, pool used)``.
+    document goes to the checkpoint and to ``account`` (with its shard
+    name and whether it was resumed) as it finishes.  Returns
+    ``(levels, resumed levels, pool used)``.
     """
     dedup = spec.restrict is None
     root = new_walker()._root_node()
@@ -1193,8 +1147,7 @@ def _run_levels(
                     doc["frontier"] = [_entry(node) for node in frontier]
             if writer and depth not in completed:
                 writer.write({"kind": "level", "depth": depth, "result": doc})
-            _emit_progress(hub, f"depth-{depth}", doc, resumed=depth in completed)
-            account(doc)
+            account(doc, f"depth-{depth}", depth in completed)
             if doc["violation"] is not None:
                 break
     finally:
@@ -1232,15 +1185,16 @@ def run_explore(
             so they need ``workers<=1``; an invariant may opt into
             per-processor step counts with a truthy ``needs_counts``
             attribute.
-        store: optional persistent store — a
-            :class:`~repro.store.ContentStore` or a directory path.  The
-            parent's canonicalization memo is pre-seeded from the
-            ``orbits`` namespace (keyed by the system fingerprint) and
-            freshly computed identity→canonical pairs are persisted back,
-            so repeated explorations of the same system skip the
-            minimal-image searches entirely.  Pool workers keep their own
-            in-process memos and do not consult the store; the verdict
-            never depends on the store.
+        store: optional :class:`~repro.store.ContentStore`.  Under
+            symmetry reduction the parent's canonicalization memo is
+            loaded from the system's ``orbits`` entry (keyed by its
+            fingerprint) and, if the run computed a key, saved back
+            whole, so repeated explorations of the same system skip the
+            minimal-image searches.  The last save of an entry wins: a
+            pair another process saved after this run loaded is
+            recomputed by a later run, never wrong.  Pool workers keep
+            their own in-process memos and do not consult the store; the
+            verdict never depends on the store.
 
     Returns:
         An :class:`ExploreResult`; its :meth:`~ExploreResult.report_doc`
@@ -1267,13 +1221,8 @@ def run_explore(
         )
     keys = _KeyMaker(bundle.system, spec.symmetry)
     checks = _Checks(spec, bundle, extra_invariants, extra_probes)
-    if store is not None:
-        if isinstance(store, str):
-            from ..store import ContentStore
-
-            store = ContentStore(store)
-        if spec.symmetry:
-            _load_orbit_memo(store, bundle.system, keys)
+    if store is not None and spec.symmetry:
+        _load_orbit_memo(store, bundle.system, keys)
 
     lines: List[tuple] = []
     writer: Optional[CheckpointWriter] = None
@@ -1291,8 +1240,18 @@ def run_explore(
     hits: List[dict] = []
     violation: Optional[Violation] = None
 
-    def account(doc: dict) -> None:
+    def account(doc: dict, shard: str, resumed: bool) -> None:
         nonlocal violation
+        emit_if_active(
+            hub,
+            ExplorationProgress,
+            shard=shard,
+            visited=doc["stats"]["visited"],
+            expanded=doc["stats"]["expanded"],
+            transitions=doc["stats"]["transitions"],
+            violation=doc["violation"] is not None,
+            resumed=resumed,
+        )
         stats.merge(doc["stats"])
         digests.update(doc["expanded"])
         hits.extend(doc["probes"])
@@ -1317,14 +1276,13 @@ def run_explore(
                 tree = walker.level_doc()
                 if writer:
                     writer.write({"kind": "tree", "result": tree})
-            _emit_progress(hub, "root", tree, resumed=bool(resumed))
-            account(tree)
+            account(tree, "root", bool(resumed))
         else:
             completed = {
                 depth: result for depth, result in lines if depth is not None
             }
             shards, resumed, pooled = _run_levels(
-                spec, new_walker, workers, completed, writer, hub, account
+                spec, new_walker, workers, completed, writer, account
             )
             workers = workers if pooled else 0
     finally:
@@ -1353,17 +1311,15 @@ def run_explore(
     ):
         violation = _canonical_violation(spec, violation, extra_invariants)
 
-    if violation is not None and hub is not None and hub.active:
-        from ..obs.events import InvariantViolated
-
-        hub.emit(
-            InvariantViolated(
-                violation_kind=violation.kind,
-                invariant=violation.invariant,
-                depth=violation.depth,
-                schedule=",".join(violation.schedule),
-                detail=violation.detail,
-            )
+    if violation is not None:
+        emit_if_active(
+            hub,
+            InvariantViolated,
+            violation_kind=violation.kind,
+            invariant=violation.invariant,
+            depth=violation.depth,
+            schedule=",".join(violation.schedule),
+            detail=violation.detail,
         )
 
     return ExploreResult(

@@ -20,24 +20,25 @@ job with the same observable behavior:
   byte-encoded via :func:`repro.core.encoding.encode_value`, so keys are
   compact, hash-seed independent and never depend on ``repr``
   formatting — and confirms membership with the exact
-  :func:`are_isomorphic` matcher before reusing a decision; hits and
-  misses are counted per lookup.  Pool workers build their cache *once*
-  (the pool initializer seeds it from a snapshot of the parent's cache,
-  passed as a plain initializer argument) and keep it across every
-  shard they pick up; each finished shard returns only its journal of
-  *new* decisions, which the parent folds in and checkpoints — no
-  per-wave snapshot/merge barriers.
-* **Sharded dedup** -- each shard dedups its candidates in its own
-  :class:`DedupIndex` (form-keyed buckets confirmed by the exact
-  matcher), dropped with the shard, and a final cross-shard pass runs
-  one more over the (few) surviving witnesses.
+  :func:`are_isomorphic` matcher, so each iso class has one entry; hits
+  and misses are counted per decision lookup.  A cache stays in the
+  process that fills it: each pool worker starts with an empty one and
+  keeps it across every shard it picks up, and a finished shard returns
+  only its records and counters, because any process can recompute a
+  decision from the system alone.
+* **Dedup through the cache** -- two candidates are isomorphic exactly
+  when they reach the same cache entry, so a shard skips a candidate
+  whose entry it already met, and the final merge pass does the same
+  over a private cache for the (few) surviving witnesses across shards.
 * **One form per system** -- every candidate's canonical form is
   computed once (:attr:`repro.core.system.System.iso_form`) and shared
-  by the dedup index, the decision cache and every
-  :func:`are_isomorphic` check that confirms a bucket hit.
+  by the cache lookup and every :func:`are_isomorphic` check that
+  confirms a bucket hit.
 * **Checkpointed streaming** -- each finished shard appends one JSONL
-  line (records + decisions + counters) to an optional checkpoint file;
-  an interrupted sweep resumes without re-deciding finished shards.
+  line (records + counters) to an optional checkpoint file; an
+  interrupted sweep resumes without re-running finished shards.  Shard
+  lines of older releases also carry their decisions (``cache``), which
+  resume does not read.
 * **Deterministic output** -- shard results are merged in shard-plan
   order (a sorted merge on the shard index), which reproduces the serial
   enumeration order exactly: a sharded sweep returns the *identical*
@@ -55,21 +56,21 @@ and ``python -m repro bench witness`` (``BENCH_witness.json``).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..core.encoding import encode_value, form_from_wire, form_to_wire
+from ..core.encoding import encode_value
 from ..core.hierarchy import MODEL_AXIS
 from ..core.network import Network
 from ..core.quotient import are_isomorphic
 from ..core.selection import decide_selection
 from ..core.system import InstructionSet, ScheduleClass, System
 from ..exceptions import WitnessSearchError
+from ..obs.events import WitnessFound, WitnessSearchProgress, emit_if_active
 from .checkpoint import CheckpointWriter, load_checkpoint
 
 _MODEL_BY_NAME = {label: (iset, sched) for label, iset, sched in MODEL_AXIS}
@@ -210,12 +211,12 @@ class SweepSpec:
 
 
 # ----------------------------------------------------------------------
-# decision cache and dedup index
+# decision cache
 # ----------------------------------------------------------------------
 
 
 def _candidate_form(probe: System) -> bytes:
-    """The byte-encoded canonical form of a candidate: the cache/dedup
+    """The byte-encoded canonical form of a candidate: its cache bucket
     key.  Encoded bytes are hash-seed independent and compare by content,
     not by how ``repr`` spells the nested form tuple.  The form comes
     from :attr:`System.iso_form`, so the :func:`are_isomorphic` checks
@@ -226,26 +227,19 @@ def _candidate_form(probe: System) -> bytes:
 class _CacheEntry:
     """One isomorphism class: a representative record plus its decisions."""
 
-    __slots__ = ("form", "record", "decisions", "_system")
+    __slots__ = ("record", "decisions", "_system")
 
-    def __init__(
-        self,
-        form: bytes,
-        record: WitnessRecord,
-        decisions: Optional[Dict[str, bool]] = None,
-    ) -> None:
-        self.form = form
+    def __init__(self, record: WitnessRecord, system: System) -> None:
         self.record = record
-        self.decisions: Dict[str, bool] = dict(decisions or {})
-        self._system: Optional[System] = None
+        self.decisions: Dict[str, bool] = {}
+        self._system = system
 
     def probe(self, iset: InstructionSet, sched: ScheduleClass) -> System:
         # Rebuild when the requested model differs from the cached one:
         # a cache shared across model pairs would otherwise hand a
         # stale-model system to the isomorphism matcher.
         if (
-            self._system is None
-            or self._system.instruction_set is not iset
+            self._system.instruction_set is not iset
             or self._system.schedule_class is not sched
         ):
             self._system = self.record.system(iset, sched)
@@ -253,55 +247,47 @@ class _CacheEntry:
 
 
 class DecisionCache:
-    """Memoized ``decide_selection`` outcomes per (canonical form, model).
+    """Memoized ``decide_selection`` outcomes per isomorphism class.
 
     The selection decision is invariant under system isomorphism, so one
     entry settles a whole iso class.  Canonical forms (byte-encoded; see
     :func:`_candidate_form`) are invariant but not *complete*
     (quotient-identical non-isomorphic systems exist), so a form keys a
     bucket of iso classes and the exact :func:`are_isomorphic` matcher
-    confirms membership before a decision is reused.  ``hits``/
-    ``misses`` count decision lookups (one per candidate per model), the
-    cache-effectiveness numbers recorded in ``BENCH_witness.json``.
+    confirms membership; a candidate that matches no entry of its bucket
+    starts a new one, so each class has exactly one entry, and two
+    candidates are isomorphic exactly when :meth:`entry_for` hands back
+    the same entry.  ``hits``/``misses`` count decision lookups (one per
+    candidate per model), the cache-effectiveness numbers recorded in
+    ``BENCH_witness.json``.
 
-    Entries are plain data (record + ``{model label: possible}``), so
-    the cache snapshots losslessly across the pickle boundary and into
-    JSONL checkpoints.  Every *newly computed* decision is also appended
-    to a journal; :meth:`drain_journal` hands the delta since the last
-    drain to whoever needs to replicate it (the parent merging worker
-    results, the checkpoint writer) without re-serializing the whole
-    cache.  The cache lives in memory: share one across sweeps to reuse
-    its decisions, as the service does for its whole life.
+    The cache lives in the memory of the process that fills it; no
+    decision is copied to another process or to a file.  Share one
+    across sweeps to reuse its decisions, as the service does for its
+    whole life.
     """
 
     def __init__(self) -> None:
         self._buckets: Dict[bytes, List[_CacheEntry]] = {}
-        self._journal: List[Tuple[bytes, WitnessRecord, str, bool]] = []
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
 
-    # -- lookups -------------------------------------------------------
-
     def entry_for(
-        self,
-        form: bytes,
-        record: WitnessRecord,
-        probe: System,
-        iset: InstructionSet,
-        sched: ScheduleClass,
+        self, record: WitnessRecord, iset: InstructionSet, sched: ScheduleClass
     ) -> _CacheEntry:
-        """The iso-class entry of ``probe``, created if novel."""
-        bucket = self._buckets.setdefault(form, [])
+        """The iso-class entry of ``record``'s system under the model
+        ``(iset, sched)``, created if novel."""
+        probe = record.system(iset, sched)
+        bucket = self._buckets.setdefault(_candidate_form(probe), [])
         for entry in bucket:
             if entry.record == record or are_isomorphic(
                 probe, entry.probe(iset, sched)
             ):
                 return entry
-        entry = _CacheEntry(form, record)
-        entry._system = probe
+        entry = _CacheEntry(record, probe)
         bucket.append(entry)
         return entry
 
@@ -315,85 +301,7 @@ class DecisionCache:
         iset, sched = _MODEL_BY_NAME[label]
         possible = decide_selection(entry.record.system(iset, sched)).possible
         entry.decisions[label] = possible
-        self._journal.append((entry.form, entry.record, label, possible))
         return possible
-
-    # -- snapshots and journals (cross-process / checkpoint form) ------
-
-    def snapshot(self) -> List[Tuple[str, dict, Dict[str, bool]]]:
-        """Every decided entry, in wire form, sorted for determinism."""
-        return sorted(
-            (
-                (form_to_wire(form), entry.record.to_json(), dict(entry.decisions))
-                for form, bucket in self._buckets.items()
-                for entry in bucket
-                if entry.decisions
-            ),
-            key=lambda item: (item[0], json.dumps(item[1], sort_keys=True)),
-        )
-
-    def drain_journal(self) -> List[Tuple[str, dict, Dict[str, bool]]]:
-        """Decisions computed since the last drain, in wire form (one
-        entry per (form, record), labels folded together)."""
-        delta: Dict[Tuple[str, WitnessRecord], Dict[str, bool]] = {}
-        for form, record, label, possible in self._journal:
-            delta.setdefault((form_to_wire(form), record), {})[label] = possible
-        self._journal.clear()
-        return [
-            (wire, record.to_json(), decisions)
-            for (wire, record), decisions in delta.items()
-        ]
-
-    def merge(self, snapshot: Sequence[Tuple[str, dict, Dict[str, bool]]]) -> None:
-        """Fold a snapshot or journal delta in (no journal entries are
-        produced: replicated decisions are not news to replicate again).
-        Entries are matched by exact record equality (cheap); a
-        same-class different-representative entry just coexists in the
-        bucket and still iso-matches on lookup.  A form key in any shape
-        but ``"b:" + hex`` is a :class:`WitnessSearchError`; a decision
-        that is not a bool is a ``ValueError``."""
-        for wire, record_doc, decisions in snapshot:
-            try:
-                form = form_from_wire(wire)
-            except ValueError as exc:
-                raise WitnessSearchError(f"malformed cache entry: {exc}") from None
-            record = WitnessRecord.from_json(record_doc)
-            if not all(type(possible) is bool for possible in decisions.values()):
-                raise ValueError(f"decisions {decisions!r} are not all booleans")
-            bucket = self._buckets.setdefault(form, [])
-            for entry in bucket:
-                if entry.record == record:
-                    for label, possible in decisions.items():
-                        entry.decisions.setdefault(label, possible)
-                    break
-            else:
-                bucket.append(_CacheEntry(form, record, decisions))
-
-
-class DedupIndex:
-    """Isomorphism dedup: one dict from byte-encoded canonical form to the
-    candidates indexed under it.
-
-    A form collision is settled with the exact matcher.  Each shard owns
-    one index and drops it when the shard completes, bounding resident
-    dedup state by the shard -- not the sweep -- size; the engine's merge
-    pass runs one more over the surviving witnesses across shards.
-    """
-
-    def __init__(self) -> None:
-        self._buckets: Dict[bytes, List[System]] = {}
-
-    def seen_before(self, form: bytes, probe: System) -> bool:
-        """True if an isomorphic candidate was indexed earlier; indexes
-        ``probe`` otherwise."""
-        bucket = self._buckets.setdefault(form, [])
-        if any(are_isomorphic(probe, prior) for prior in bucket):
-            return True
-        bucket.append(probe)
-        return False
-
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
 
 
 # ----------------------------------------------------------------------
@@ -429,19 +337,28 @@ def shard_plan(spec: SweepSpec) -> List[ShardKey]:
     return plan
 
 
+def dense_assignments(
+    slots: int, n_variables: int, prefix: Tuple[int, ...] = ()
+) -> Iterator[Tuple[int, ...]]:
+    """Slot assignments extending ``prefix``, in lexicographic order,
+    whose used variables are a prefix ``v0..`` of the variables.  Any
+    other assignment renames the variables of one of these, so it is an
+    isomorphic duplicate."""
+    for rest in product(range(n_variables), repeat=slots - len(prefix)):
+        assignment = prefix + rest
+        used = sorted(set(assignment))
+        if used == list(range(len(used))):
+            yield assignment
+
+
 def _iter_shard_records(spec: SweepSpec, shard: ShardKey) -> Iterator[WitnessRecord]:
     """All candidate records of one shard, in serial enumeration order."""
     n_procs, n_names, prefix = shard
-    slots = n_procs * n_names
-    for rest in product(range(spec.max_variables), repeat=slots - len(prefix)):
-        assignment = tuple(prefix) + rest
-        used = sorted(set(assignment))
-        if used != list(range(len(used))):
-            continue  # not a dense variable prefix; isomorphic duplicate
+    for assignment in dense_assignments(n_procs * n_names, spec.max_variables, prefix):
         marks: List[Optional[str]] = [None]
         if spec.allow_marks:
             marks += [f"p{i}" for i in range(n_procs)]
-            marks += [f"v{j}" for j in range(len(used))]
+            marks += [f"v{j}" for j in range(max(assignment) + 1)]
         for mark in marks:
             yield WitnessRecord(n_procs, n_names, assignment, mark)
 
@@ -468,21 +385,22 @@ class ShardStats:
 def _sweep_shard(
     spec: SweepSpec, shard: ShardKey, cache: DecisionCache
 ) -> Tuple[List[WitnessRecord], ShardStats]:
-    """Exhaust one shard: dedup, decide (through the cache), collect hits."""
+    """Exhaust one shard: dedup and decide through the cache, collect
+    hits.  A candidate whose cache entry the shard already met is
+    isomorphic to an earlier candidate of the shard and is skipped."""
     w_iset, w_sched = spec.weak_model
     stats = ShardStats()
     hits_before, misses_before = cache.hits, cache.misses
-    dedup = DedupIndex()
+    met: Set[_CacheEntry] = set()
     found: List[WitnessRecord] = []
     for record in _iter_shard_records(spec, shard):
         stats.enumerated += 1
-        probe = record.system(w_iset, w_sched)
-        form = _candidate_form(probe)
-        if dedup.seen_before(form, probe):
+        entry = cache.entry_for(record, w_iset, w_sched)
+        if entry in met:
             stats.dedup_skips += 1
             continue
+        met.add(entry)
         stats.novel += 1
-        entry = cache.entry_for(form, record, probe, w_iset, w_sched)
         if cache.decide(entry, spec.weaker):
             continue  # the weaker model already solves it
         if cache.decide(entry, spec.stronger):
@@ -493,37 +411,24 @@ def _sweep_shard(
     return found, stats
 
 
-#: Per-worker context: the spec plus one persistent :class:`DecisionCache`
-#: built by :func:`_pool_init` and kept warm across every shard this
-#: worker picks up — later shards reuse earlier shards' decisions without
-#: any per-task snapshot/merge traffic.
+#: Per-worker context: the spec plus one :class:`DecisionCache`, built
+#: empty by :func:`_pool_init` and kept warm across every shard this
+#: worker picks up.
 _WORKER: Dict[str, object] = {}
 
 
-def _pool_init(spec_doc: dict, seed: list) -> None:
-    """Pool-worker initializer: build the spec once and seed the
-    persistent cache from the parent's snapshot (sent once per worker,
-    not per task)."""
-    spec = SweepSpec.from_json(spec_doc)
-    cache = DecisionCache()
-    cache.merge(seed)
-    _WORKER.update(spec=spec, cache=cache)
+def _pool_init(spec_doc: dict) -> None:
+    """Pool-worker initializer: build the spec and an empty cache once."""
+    _WORKER.update(spec=SweepSpec.from_json(spec_doc), cache=DecisionCache())
 
 
 def _run_shard_task(shard_doc) -> tuple:
-    """Worker entry point (module-level so it pickles); the payload is
-    just the shard key, and the result carries only the journal of
-    decisions this shard newly computed."""
-    spec: SweepSpec = _WORKER["spec"]
-    cache: DecisionCache = _WORKER["cache"]
-    cache.drain_journal()  # discard leftovers of an aborted earlier task
-    found, stats = _sweep_shard(spec, _shard_from_doc(shard_doc), cache)
-    return (
-        shard_doc,
-        [r.to_json() for r in found],
-        stats.to_json(),
-        cache.drain_journal(),
+    """Worker entry point (module-level so it pickles): the payload is
+    just the shard key, the result the shard's records and counters."""
+    found, stats = _sweep_shard(
+        _WORKER["spec"], _shard_from_doc(shard_doc), _WORKER["cache"]
     )
+    return [r.to_json() for r in found], stats.to_json()
 
 
 # ----------------------------------------------------------------------
@@ -540,15 +445,15 @@ def _shard_from_doc(doc) -> ShardKey:
 
 
 def _load_checkpoint(
-    path: str, spec: SweepSpec, cache: DecisionCache
+    path: str, spec: SweepSpec
 ) -> Dict[ShardKey, Tuple[List[WitnessRecord], ShardStats]]:
-    """Completed shards recorded in ``path`` (empty if the file is new);
-    their decisions are merged into ``cache``."""
+    """Completed shards recorded in ``path`` (empty if the file is new).
+    Only records and counters are read: the decisions older releases
+    wrote beside them are recomputed, never trusted."""
 
     def parse(doc: dict):
         if doc.get("kind") != "shard":
             return None
-        cache.merge(doc["cache"])
         return _shard_from_doc(doc["shard"]), (
             [WitnessRecord.from_json(r) for r in doc["records"]],
             ShardStats.from_json(doc["counters"]),
@@ -560,7 +465,7 @@ def _load_checkpoint(
 
 
 def _shard_line(
-    shard: ShardKey, records: List[WitnessRecord], stats: ShardStats, cache_delta: list
+    shard: ShardKey, records: List[WitnessRecord], stats: ShardStats
 ) -> dict:
     """The checkpoint line of one finished shard."""
     return {
@@ -568,7 +473,6 @@ def _shard_line(
         "shard": _shard_doc(shard),
         "records": [r.to_json() for r in records],
         "counters": stats.to_json(),
-        "cache": [list(e) for e in cache_delta],
     }
 
 
@@ -584,7 +488,9 @@ class SweepResult:
     ``witnesses`` is the deterministic merged list (serial order);
     ``records`` are their plain-data descriptions, and the counters
     aggregate every executed shard (resumed shards contribute their
-    checkpointed counters).
+    checkpointed counters).  ``cache`` is the cache the sweep consulted
+    (the caller's, or a fresh one); the shards of a pooled sweep decide
+    in the workers' own caches, so it holds none of their decisions.
     """
 
     witnesses: List["Witness"]
@@ -603,36 +509,21 @@ def _merge_results(
 ) -> List[WitnessRecord]:
     """Sorted merge of shard outputs: concatenate in shard-plan order and
     drop cross-shard isomorphic duplicates, keeping first occurrences --
-    exactly the serial searcher's global-dedup semantics."""
+    exactly the serial searcher's global-dedup semantics.  A private
+    cache classifies the records, so each class is kept once."""
     w_iset, w_sched = spec.weak_model
+    classes = DecisionCache()
+    met: Set[_CacheEntry] = set()
     kept: List[WitnessRecord] = []
-    dedup = DedupIndex()
     for records in per_shard:
         for record in records:
             if spec.limit is not None and len(kept) >= spec.limit:
                 return kept
-            probe = record.system(w_iset, w_sched)
-            if not dedup.seen_before(_candidate_form(probe), probe):
+            entry = classes.entry_for(record, w_iset, w_sched)
+            if entry not in met:
+                met.add(entry)
                 kept.append(record)
     return kept
-
-
-def _emit_progress(hub, shard: ShardKey, stats: ShardStats, resumed: bool) -> None:
-    if hub is None or not hub.active:
-        return
-    from ..obs.events import WitnessSearchProgress
-
-    hub.emit(
-        WitnessSearchProgress(
-            shard=f"{shard[0]}x{shard[1]}:{','.join(map(str, shard[2])) or '-'}",
-            enumerated=stats.enumerated,
-            novel=stats.novel,
-            witnesses=stats.witnesses,
-            cache_hits=stats.cache_hits,
-            cache_misses=stats.cache_misses,
-            resumed=resumed,
-        )
-    )
 
 
 def run_sweep(
@@ -651,8 +542,9 @@ def run_sweep(
             the serial in-process path.  The witness list is identical on
             every worker count.
         cache: an optional :class:`DecisionCache` to consult and fill;
-            keep one alive across calls (e.g. sweeping several model
-            pairs over the same bounds) to reuse decisions.
+            keep one alive across serial calls (e.g. sweeping several
+            model pairs over the same bounds) to reuse decisions.  Pool
+            workers start with empty caches of their own.
         checkpoint: optional JSONL path.  Completed shards are appended
             as they finish; if the file already exists (for the same
             spec) those shards are not re-run.
@@ -676,38 +568,47 @@ def run_sweep(
     completed: Dict[ShardKey, Tuple[List[WitnessRecord], ShardStats]] = {}
     writer: Optional[CheckpointWriter] = None
     if checkpoint:
-        completed = _load_checkpoint(checkpoint, spec, cache)
+        completed = _load_checkpoint(checkpoint, spec)
         writer = CheckpointWriter(
             checkpoint, "witness-sweep", spec.to_json(), fresh=not completed
         )
 
     total = ShardStats()
     per_shard: Dict[ShardKey, List[WitnessRecord]] = {}
-    resumed = 0
 
-    def account(shard: ShardKey, records: List[WitnessRecord], stats: ShardStats) -> None:
+    def account(
+        shard: ShardKey, records: List[WitnessRecord], stats: ShardStats,
+        resumed: bool = False,
+    ) -> None:
+        if writer and not resumed:
+            writer.write(_shard_line(shard, records, stats))
         per_shard[shard] = records
         for key, value in stats.to_json().items():
             setattr(total, key, getattr(total, key) + value)
+        emit_if_active(
+            hub,
+            WitnessSearchProgress,
+            shard=f"{shard[0]}x{shard[1]}:{','.join(map(str, shard[2])) or '-'}",
+            enumerated=stats.enumerated,
+            novel=stats.novel,
+            witnesses=stats.witnesses,
+            cache_hits=stats.cache_hits,
+            cache_misses=stats.cache_misses,
+            resumed=resumed,
+        )
 
     plan_set = set(plan)
     for shard, (records, stats) in completed.items():
         if shard in plan_set:
-            resumed += 1
-            account(shard, records, stats)
-            _emit_progress(hub, shard, stats, resumed=True)
+            account(shard, records, stats, resumed=True)
+    resumed = len(per_shard)
 
     todo = [shard for shard in plan if shard not in per_shard]
     try:
         if workers == 0 or len(todo) <= 1:
             workers = 0
-            cache.drain_journal()  # only journal what *this* sweep decides
             for shard in todo:
-                found, stats = _sweep_shard(spec, shard, cache)
-                account(shard, found, stats)
-                if writer:
-                    writer.write(_shard_line(shard, found, stats, cache.drain_journal()))
-                _emit_progress(hub, shard, stats, resumed=False)
+                account(shard, *_sweep_shard(spec, shard, cache))
                 if spec.limit is not None:
                     merged_so_far = _merge_results(
                         spec, [per_shard[s] for s in plan if s in per_shard]
@@ -715,15 +616,14 @@ def run_sweep(
                     if len(merged_so_far) >= spec.limit:
                         break
         else:
-            # Submit every shard at once: workers keep one persistent
-            # cache each (seeded once from the parent's snapshot), so
-            # there is no wave barrier to re-synchronize snapshots at —
-            # the parent just folds each shard's decision journal in as
-            # it completes.
+            # Submit every shard at once: each worker keeps its own
+            # cache across the shards it picks up, so there is no wave
+            # barrier, and the parent takes each shard's records and
+            # counters as it completes.
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_pool_init,
-                initargs=(spec.to_json(), cache.snapshot()),
+                initargs=(spec.to_json(),),
             ) as pool:
                 futures = {
                     pool.submit(_run_shard_task, _shard_doc(shard)): shard
@@ -733,15 +633,12 @@ def run_sweep(
                 while not_done:
                     done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
                     for future in done:
-                        shard = futures[future]
-                        _doc, record_docs, stats_doc, delta = future.result()
-                        records = [WitnessRecord.from_json(r) for r in record_docs]
-                        stats = ShardStats.from_json(stats_doc)
-                        cache.merge(delta)
-                        account(shard, records, stats)
-                        if writer:
-                            writer.write(_shard_line(shard, records, stats, delta))
-                        _emit_progress(hub, shard, stats, resumed=False)
+                        record_docs, stats_doc = future.result()
+                        account(
+                            futures[future],
+                            [WitnessRecord.from_json(r) for r in record_docs],
+                            ShardStats.from_json(stats_doc),
+                        )
     finally:
         if writer:
             writer.close()
@@ -752,18 +649,15 @@ def run_sweep(
         Witness(record.system(s_iset, s_sched), spec.weaker, spec.stronger)
         for record in merged
     ]
-    if hub is not None and hub.active:
-        from ..obs.events import WitnessFound
-
-        for index, witness in enumerate(witnesses):
-            hub.emit(
-                WitnessFound(
-                    index=index,
-                    weaker=spec.weaker,
-                    stronger=spec.stronger,
-                    description=witness.describe(),
-                )
-            )
+    for index, witness in enumerate(witnesses):
+        emit_if_active(
+            hub,
+            WitnessFound,
+            index=index,
+            weaker=spec.weaker,
+            stronger=spec.stronger,
+            description=witness.describe(),
+        )
     return SweepResult(
         witnesses=witnesses,
         records=merged,

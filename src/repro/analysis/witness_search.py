@@ -22,11 +22,11 @@ exactly what the engine returns on any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from ..core.network import Network
 from ..core.system import System
+from .witness_engine import WitnessRecord, dense_assignments
 
 
 def enumerate_networks(
@@ -34,23 +34,14 @@ def enumerate_networks(
 ) -> Iterator[Network]:
     """All networks on the given node budget (up to variable renaming).
 
-    Variables are used densely: a network whose edge targets skip
-    ``v1`` while using ``v2`` is isomorphic to a denser one, so we demand
-    the used variable set be a prefix of ``v0..``; full isomorphism
-    dedup happens in the caller via canonical forms.
+    Variables are used densely (:func:`~repro.analysis.witness_engine.
+    dense_assignments`): a network whose edge targets skip ``v1`` while
+    using ``v2`` is isomorphic to a denser one.  Full isomorphism dedup
+    happens in the caller via canonical forms.  These are the networks
+    of the sweep's unmarked candidates, in the same order.
     """
-    procs = [f"p{i}" for i in range(n_processors)]
-    names = [f"n{i}" for i in range(n_names)]
-    variables = [f"v{j}" for j in range(n_variables)]
-    slots = [(p, n) for p in procs for n in names]
-    for assignment in product(range(n_variables), repeat=len(slots)):
-        used = sorted(set(assignment))
-        if used != list(range(len(used))):
-            continue  # not a dense prefix; isomorphic duplicate
-        edges: Dict[str, Dict[str, str]] = {p: {} for p in procs}
-        for (p, n), v in zip(slots, assignment):
-            edges[p][n] = variables[v]
-        yield Network(names, edges)
+    for assignment in dense_assignments(n_processors * n_names, n_variables):
+        yield WitnessRecord(n_processors, n_names, assignment).network()
 
 
 @dataclass(frozen=True)

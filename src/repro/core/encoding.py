@@ -166,7 +166,7 @@ def fingerprint(value: Hashable, digest_size: int = 16) -> str:
 
 def form_to_wire(form: bytes) -> str:
     """The JSON spelling of a byte-encoded canonical form: ``"b:" + hex``
-    (witness-sweep checkpoints, cache snapshots, witness records)."""
+    (the hierarchy's separation-witness records)."""
     return "b:" + form.hex()
 
 

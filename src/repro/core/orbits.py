@@ -150,12 +150,3 @@ class StabilizerChainCanonicalizer:
         return min(
             self._render(gp, gv, pslots, ventries) for gp, gv in frontier
         )
-
-    def identity_key(
-        self,
-        proc_part: Tuple[object, ...],
-        var_part: Tuple[object, ...],
-        vectors: Sequence[ProcVector] = (),
-    ) -> bytes:
-        """The key of the state as-is (no symmetry reduction)."""
-        return self.encoder.identity_key(proc_part, var_part, tuple(vectors))

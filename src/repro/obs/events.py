@@ -36,7 +36,7 @@ without import cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Optional
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -525,3 +525,14 @@ class EventHub:
             close = getattr(sink, "close", None)
             if close is not None:
                 close()
+
+
+def emit_if_active(
+    hub: Optional[EventHub], event: Callable[..., Event], **fields: Any
+) -> None:
+    """Emit ``event(**fields)`` on ``hub`` if a sink is attached.
+
+    The engines' one guard for progress and verdict events: with no hub,
+    or a hub nothing listens to, no event is built."""
+    if hub is not None and hub.active:
+        hub.emit(event(**fields))

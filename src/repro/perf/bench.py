@@ -8,7 +8,7 @@ Six benches regenerate the committed ``BENCH_<NAME>.json`` artifacts:
 * ``mp_faults`` -- the message-passing runtime's flood workload under
   four channel-fault configurations;
 * ``witness`` -- the L ⊐ Q ⊐ BF-S ⊐ F-S separation witnesses, swept
-  serially, on the pool, and again over the warm decision cache;
+  serially, on the pool, and again over the serial sweep's warm cache;
 * ``explore`` -- Figure 4's DP deadlock, Figure 5's DP' certificate and
   Theorem 4's ring lockstep, unreduced vs Θ-reduced vs pooled;
 * ``parametric`` -- the three headline cutoff certificates;
@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..analysis.explore import ExploreSpec, run_explore
 from ..analysis.parametric import run_parametric
 from ..analysis.reporting import format_table
-from ..analysis.witness_engine import DecisionCache, SweepSpec, run_sweep
+from ..analysis.witness_engine import SweepSpec, run_sweep
 from ..core.families import single_mark_family
 from ..core.hierarchy import POWER_ORDER
 from ..core.refinement import compute_similarity_labeling
@@ -240,9 +240,7 @@ def _witness(workers: int, _store: Optional[str]) -> Measured:
         spec = SweepSpec(weaker=weaker, stronger=stronger, **WITNESS_BOUNDS)
         serial = run_sweep(spec, workers=0)
         pooled = run_sweep(spec, workers=workers)
-        warm = DecisionCache()
-        warm.merge(serial.cache.snapshot())
-        cached = run_sweep(spec, workers=0, cache=warm)
+        cached = run_sweep(spec, workers=0, cache=serial.cache)
 
         witnesses = [w.describe() for w in serial.witnesses]
         agree = (

@@ -40,7 +40,9 @@ Four mechanisms stack:
   and the explorer's orbit canonical keys, so a later service process
   reuses them.  Selection decisions stay in memory: one
   :class:`~repro.analysis.witness_engine.DecisionCache` serves every
-  witness request and model pair for the life of the service.
+  serially swept witness request and model pair for the life of the
+  service.  A request swept with ``workers`` > 1 decides in the pool
+  workers' own caches, so the service's cache learns nothing from it.
 * **Event streaming** -- a request may subscribe to obs events
   (``WitnessSearchProgress``, ``ExplorationProgress``, ...); the wave
   runs in a worker thread and forwards each event back onto the event

@@ -22,11 +22,10 @@ Design points:
   :meth:`flush` (called automatically every ``flush_every`` puts, by
   :meth:`close`, and by the context manager) performs the disk writes.
   Engines call ``put`` on their hot path without paying per-entry I/O.
-* **Merge on flush** -- a namespace may register a merge function
-  (``merge(existing_value, new_value) -> value``); flushing an entry
-  whose file already exists folds the two documents together instead of
-  blindly overwriting, so concurrent writers grow a shared entry (e.g.
-  the orbit map of one system) instead of clobbering each other.  A
+* **Last save wins** -- a flush writes each staged entry whole and
+  never reads the file it replaces, so of two processes saving one
+  entry the later one's value stays.  Values are recomputable from
+  their keys (the ``orbits`` entry is a memo any run can rebuild), so a
   lost race between processes costs a recompute later, never
   correctness; within one handle a lock serializes staging, reads and
   flushes, so threads sharing it (the service's event loop and engine
@@ -51,7 +50,7 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..exceptions import ReproError
 
@@ -94,7 +93,6 @@ class StoreStats:
     misses: int = 0
     puts: int = 0
     writes: int = 0
-    merges: int = 0
     quarantined: int = 0
     evicted: int = 0
 
@@ -135,10 +133,9 @@ class ContentStore:
         self.hub = None
         self.stats = StoreStats()
         self._pending: Dict[Tuple[str, str], Tuple[bytes, dict]] = {}
-        self._mergers: Dict[str, Callable[[dict, dict], dict]] = {}
-        # Held across a flush's read-merge-write: two overlapping flushes
-        # of one entry could otherwise write the older merge last, and a
-        # get between a flush's unstaging and its write would miss.
+        # Held across a flush: two overlapping flushes of one entry could
+        # otherwise write the older value last, and a get between a
+        # flush's unstaging and its write would miss.
         self._lock = threading.RLock()
         try:
             os.makedirs(self.root, exist_ok=True)
@@ -156,14 +153,6 @@ class ContentStore:
 
     def _path(self, namespace: str, digest: str) -> str:
         return os.path.join(self.root, namespace, digest[:2], digest + ".json")
-
-    # -- merge registration --------------------------------------------
-
-    def register_merge(
-        self, namespace: str, merge: Callable[[dict, dict], dict]
-    ) -> None:
-        """Fold-together function for concurrent writes in ``namespace``."""
-        self._mergers[namespace] = merge
 
     # -- read path -----------------------------------------------------
 
@@ -241,17 +230,11 @@ class ContentStore:
             items = sorted(pending.items())
             try:
                 for (namespace, digest), (key, value) in items:
-                    merge = self._mergers.get(namespace)
-                    if merge is not None:
-                        existing = self._read(namespace, digest, key)
-                        if existing is not None:
-                            value = merge(existing, value)
-                            self.stats.merges += 1
                     self._write(namespace, digest, key, value)
                     written += 1
             except BaseException:
                 remainder = dict(items[written:])
-                remainder.update(self._pending)  # puts staged mid-merge win
+                remainder.update(self._pending)  # puts staged mid-flush win
                 self._pending = remainder
                 raise
             if self.max_bytes is not None and written:

@@ -14,7 +14,9 @@ raw ``KeyError`` or ``TypeError`` from deep inside the resume.
 """
 
 import json
+import os
 import re
+import shutil
 
 import pytest
 
@@ -149,16 +151,6 @@ class TestDamagedWitnessCheckpoint:
         "record-without-n": (
             lambda doc: doc["records"][0].pop("n"), lambda doc: doc["records"]
         ),
-        "form-key-not-hex": (
-            lambda doc: doc["cache"][0].__setitem__(0, "b:zz"),
-            lambda doc: doc["cache"],
-        ),
-        # Trusted, a string decision reads "" as no and "x" as yes, and
-        # the resumed sweep reports a witness the checkpoint never held.
-        "decision-not-a-bool": (
-            lambda doc: doc["cache"][0].__setitem__(2, {"Q": "", "L": "x"}),
-            lambda doc: doc["cache"],
-        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -183,6 +175,43 @@ class TestDamagedWitnessCheckpoint:
         ck.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
         with pytest.raises(WitnessSearchError, match=re.escape(str(ck))):
             run_sweep(SWEEP, workers=1, checkpoint=str(ck))
+
+
+#: A serial ``witness Q L --max-processors 3 --max-names 2
+#: --max-variables 2`` checkpoint from a release whose shard lines also
+#: carried the decisions their shard made (``cache``), cut to its first
+#: 7 of 15 shard lines, with every one of the 17 decisions in them
+#: flipped.  A resume that trusted them would report 8 witnesses.
+FLIPPED = os.path.join(
+    os.path.dirname(__file__), "data", "sweep_q_l_flipped_decisions.jsonl"
+)
+Q_L_322 = SweepSpec(weaker="Q", stronger="L", max_processors=3,
+                    max_names=2, max_variables=2)
+
+
+class TestCheckpointDecisionsAreNotRead:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_flipped_decisions_resume_to_the_uninterrupted_list(
+        self, tmp_path, workers
+    ):
+        whole = run_sweep(Q_L_322, workers=0)
+        assert len(whole.witnesses) == 6
+        ck = tmp_path / "sweep.ckpt.jsonl"
+        shutil.copy(FLIPPED, ck)
+        before = [json.loads(line) for line in ck.read_text().splitlines()]
+        shards = [doc for doc in before if doc["kind"] == "shard"]
+        assert len(shards) == 7
+        assert sum(len(entry[2]) for doc in shards for entry in doc["cache"]) == 17
+        resumed = run_sweep(Q_L_322, workers=workers, checkpoint=str(ck))
+        assert resumed.resumed_shards == 7
+        assert resumed.records == whole.records
+        assert [w.describe() for w in resumed.witnesses] == [
+            w.describe() for w in whole.witnesses
+        ]
+        after = [json.loads(line) for line in ck.read_text().splitlines()]
+        appended = after[len(before):]
+        assert len(appended) == 8
+        assert not any("cache" in doc for doc in appended)
 
 
 class TestDamagedExploreCheckpoint:

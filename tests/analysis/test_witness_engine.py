@@ -22,9 +22,11 @@ from repro.analysis.witness_engine import (
     SweepSpec,
     WitnessRecord,
     _iter_shard_records,
+    _sweep_shard,
     run_sweep,
     shard_plan,
 )
+from repro.core.quotient import are_isomorphic
 from repro.core.system import InstructionSet, ScheduleClass
 from repro.exceptions import WitnessSearchError
 from repro.obs import EventHub, RingBufferSink
@@ -37,6 +39,16 @@ SMALL = dict(max_processors=2, max_names=2, max_variables=3)
 
 def descriptions(result):
     return [w.describe() for w in result.witnesses]
+
+
+def _classes(records, iset, sched):
+    """One representative system per isomorphism class of ``records``."""
+    classes = []
+    for record in records:
+        system = record.system(iset, sched)
+        if not any(are_isomorphic(system, other) for other in classes):
+            classes.append(system)
+    return classes
 
 
 class TestSweepSpec:
@@ -184,13 +196,35 @@ class TestDecisionCache:
         assert warm.stats.cache_hits > 0
         assert warm.records == cold.records
 
-    def test_snapshot_merge_roundtrip(self):
-        spec = SweepSpec("Q", "L", max_processors=2, max_names=1)
+    def test_pool_workers_start_empty(self):
+        """A pooled sweep neither seeds its workers from the caller's
+        cache nor folds their decisions back into it."""
+        spec = SweepSpec("Q", "L", **SMALL)
         cache = DecisionCache()
-        run_sweep(spec, workers=0, cache=cache)
-        other = DecisionCache()
-        other.merge(cache.snapshot())
-        assert other.snapshot() == cache.snapshot()
+        serial = run_sweep(spec, workers=0, cache=cache)
+        entries, misses = len(cache), cache.misses
+        pooled = run_sweep(spec, workers=2, cache=cache)
+        assert pooled.stats.cache_misses > 0
+        assert (len(cache), cache.misses) == (entries, misses)
+        assert pooled.cache is cache
+        assert pooled.records == serial.records
+
+    def test_one_entry_per_isomorphism_class(self):
+        """The cache is the sweep's dedup table: each shard's ``novel``
+        count is the number of isomorphism classes among its candidates,
+        and the cache ends with one entry per class of the whole sweep
+        (both checked against a pairwise ``are_isomorphic`` scan)."""
+        spec = SweepSpec("Q", "L", **SMALL)
+        iset, sched = spec.weak_model
+        cache = DecisionCache()
+        everything = []
+        for shard in shard_plan(spec):
+            records = list(_iter_shard_records(spec, shard))
+            _found, stats = _sweep_shard(spec, shard, cache)
+            assert stats.novel == len(_classes(records, iset, sched))
+            assert stats.novel + stats.dedup_skips == len(records)
+            everything += records
+        assert len(cache) == len(_classes(everything, iset, sched))
 
     def test_cache_shared_across_model_pairs(self):
         """The weaker-model decisions of a Q<L sweep are reusable as the

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import enumerate_networks, find_witnesses, smallest_witness
+from repro.analysis.witness_engine import SweepSpec, _iter_shard_records, shard_plan
 from repro.core import decide_selection
 
 
@@ -19,6 +20,27 @@ class TestEnumeration:
         # isomorphic to (0,1).  Enumeration keeps both; dedup happens in
         # the searcher.
         assert len(nets) >= 2
+
+
+    @pytest.mark.parametrize("bounds", [(1, 1, 3), (2, 1, 2), (2, 2, 3)])
+    def test_networks_of_the_engines_unmarked_records(self, bounds):
+        """The same dense-assignment rule and edge layout as the sweep:
+        the networks of its unmarked records, in enumeration order."""
+        n_procs, n_names, n_vars = bounds
+        spec = SweepSpec("Q", "L", max_processors=n_procs,
+                         max_names=n_names, max_variables=n_vars,
+                         allow_marks=True)
+        records = [
+            record
+            for shard in shard_plan(spec)
+            if shard[:2] == (n_procs, n_names)
+            for record in _iter_shard_records(spec, shard)
+            if record.mark is None
+        ]
+        assert records
+        assert list(enumerate_networks(n_procs, n_names, n_vars)) == [
+            record.network() for record in records
+        ]
 
 
 class TestSearch:

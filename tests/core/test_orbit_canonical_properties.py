@@ -108,7 +108,7 @@ class TestChainMatchesEnumeration:
         system = SYSTEMS[name]
         keys = StabilizerChainCanonicalizer(system)
         members = [
-            keys.identity_key(*_apply(system, sigma, a))
+            keys.encoder.identity_key(*_apply(system, sigma, a))
             for sigma in iter_automorphisms(system, limit=200)
         ]
         assert keys.canonical_key(*a) == min(members)

@@ -640,6 +640,68 @@ class TestStoreBacking:
         with ContentStore(root) as store:
             assert store.count(NS_ORBITS) == 1
 
+    def test_orbit_entry_is_saved_whole(self, tmp_path, monkeypatch):
+        """Lifetimes exploring one system at depth 3, then 4, leave one
+        ``orbits`` entry holding every pair both computed; the second
+        save writes its whole memo without reading the entry back, and a
+        lifetime whose every key came from the entry puts nothing."""
+        from repro.analysis import explore
+        from repro.store import ContentStore, NS_ORBITS
+
+        makers = []
+
+        class RecordingKeyMaker(explore._KeyMaker):
+            def __init__(self, *args):
+                super().__init__(*args)
+                makers.append(self)
+
+        monkeypatch.setattr(explore, "_KeyMaker", RecordingKeyMaker)
+        specs = {depth: dict(EXPLORE, max_depth=depth) for depth in (3, 4)}
+        expected = {}
+        for doc in specs.values():  # no store: what each depth computes
+            explore.run_explore(explore.ExploreSpec.from_json(doc), workers=0)
+        for maker in makers:
+            expected.update(maker.memo)
+        assert expected
+
+        reads = []
+        real_read = ContentStore._read
+
+        def counting_read(self, namespace, digest, key):
+            reads.append(namespace)
+            return real_read(self, namespace, digest, key)
+
+        save_reads = []
+        real_save = explore._save_orbit_memo
+
+        def watched_save(store, system, keys):
+            before = len(reads)
+            real_save(store, system, keys)
+            save_reads.append(len(reads) - before)
+
+        monkeypatch.setattr(ContentStore, "_read", counting_read)
+        monkeypatch.setattr(explore, "_save_orbit_memo", watched_save)
+        root = str(tmp_path / "store")
+
+        async def serve_once(depth):
+            async with AnalysisService(store_dir=root) as svc:
+                await svc.submit({"op": "explore", "spec": specs[depth]})
+                return svc.store.stats.puts
+
+        assert run(serve_once(3)) == 1
+        assert run(serve_once(4)) == 1
+        assert save_reads == [0, 0]
+        del makers[:]
+        assert run(serve_once(4)) == 0
+        assert [maker.computed for maker in makers] == [0]
+        system = build_scenario(EXPLORE["scenario"]).system
+        with ContentStore(root) as store:
+            assert store.count(NS_ORBITS) == 1
+            entry = store.get(NS_ORBITS, bytes.fromhex(system.fingerprint))
+        assert entry == {
+            "map": {ident.hex(): key.hex() for ident, key in expected.items()}
+        }
+
 
 class TestDeadlines:
     def test_deadline_exceeded_returns_error(self):

@@ -125,66 +125,34 @@ class TestFlushFailure:
         assert store.get("ns", b"b") == {"v": 2}
 
 
-class TestMerge:
-    def test_merge_on_flush_unions_concurrent_values(self, tmp_path):
-        root = str(tmp_path / "s")
-
-        def union(existing, new):
-            return {"members": sorted(set(existing["members"]) | set(new["members"]))}
-
-        a = ContentStore(root)
-        b = ContentStore(root)
-        a.register_merge("ns", union)
-        b.register_merge("ns", union)
-        a.put("ns", b"k", {"members": ["x"]})
-        b.put("ns", b"k", {"members": ["y"]})
-        a.flush()
-        b.flush()  # reads a's value back and merges rather than clobbering
-        a.close()
-        b.close()
-        with ContentStore(root) as fresh:
-            assert fresh.get("ns", b"k") == {"members": ["x", "y"]}
-            assert fresh.stats.hits == 1
-
-
 class TestThreads:
     """One handle shared by two threads, as the service's event loop
     (flush after every wave) and engine thread (puts, auto-flushes)
     share it."""
 
-    @staticmethod
-    def _union_store(root):
-        store = ContentStore(root)
-        store.register_merge(
-            "ns",
-            lambda old, new: {"items": sorted(set(old["items"]) | set(new["items"]))},
-        )
-        return store
-
     def test_overlapping_flushes_keep_the_newer_value(self, tmp_path):
-        """A flush that read the entry's file before another thread
-        staged and flushed a newer value must not write its older merge
-        over that value."""
+        """A flush that unstaged an entry before another thread staged
+        and flushed a newer value must not write its older value over
+        that one."""
         root = str(tmp_path / "s")
-        store = self._union_store(root)
+        store = ContentStore(root)
         store.put("ns", b"k", {"items": [1]})
-        real_read = store._read
+        real_write = store._write
         racer = threading.Thread(
             target=lambda: (store.put("ns", b"k", {"items": [1, 2]}), store.flush())
         )
 
-        def read_then_race(namespace, digest, key):
-            existing = real_read(namespace, digest, key)
-            if racer.ident is None:  # first read only
+        def race_then_write(namespace, digest, key, value):
+            if racer.ident is None:  # first write only
                 racer.start()
                 racer.join(timeout=0.5)  # blocks for the timeout if locked out
-            return existing
+            real_write(namespace, digest, key, value)
 
-        store._read = read_then_race
+        store._write = race_then_write
         store.flush()
         racer.join(timeout=10)
         assert not racer.is_alive()
-        store._read = real_read
+        store._write = real_write
         with ContentStore(root) as fresh:
             assert fresh.get("ns", b"k") == {"items": [1, 2]}
 
@@ -192,7 +160,7 @@ class TestThreads:
         """Stress: one thread stages ever-growing values (auto-flushing),
         two more flush in a loop; every staged item must reach disk."""
         root = str(tmp_path / "s")
-        store = self._union_store(root)
+        store = ContentStore(root)
         store.flush_every = 4
         keys = [b"k%d" % i for i in range(4)]
         puts = 400
