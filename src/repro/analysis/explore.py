@@ -573,32 +573,44 @@ class _KeyMaker:
         self.memo: Dict[bytes, bytes] = {}
         self.computed = 0
 
-    def key(self, proc_part, var_part, vectors: Tuple) -> bytes:
-        """The (canonical or identity) byte key of one state."""
-        ident = self.encoder.identity_key(proc_part, var_part, vectors)
+    def key(self, state, slots: List[bytes], vectors: Tuple) -> bytes:
+        """The (canonical or identity) byte key of one state, given its
+        exploration state and that state's encoder slots."""
+        ident = self.encoder.join_key(slots, vectors)
         if self.canon is None:
             return ident
         key = self.memo.get(ident)
         if key is None:
             key = self.memo[ident] = self.canon.canonical_key(
-                proc_part, var_part, vectors
+                state[0], state[1], vectors
             )
             self.computed += 1
         return key
 
 
 class _Node:
-    """One node of the choice tree."""
+    """One node of the choice tree.
+
+    ``state`` is the executor's exploration state and ``slots`` its
+    :meth:`~repro.core.encoding.StateEncoder.state_slots`.  A child
+    builds both from its parent's, replacing only the entries its step
+    changed; the walker drops them with the executor once the node's
+    children exist.
+    """
 
     __slots__ = ("executor", "depth", "schedule", "ages", "counts",
-                 "digest", "children", "progress")
+                 "state", "slots", "digest", "children", "progress")
 
-    def __init__(self, executor, depth, schedule, ages, counts) -> None:
+    def __init__(
+        self, executor, depth, schedule, ages, counts, state, slots
+    ) -> None:
         self.executor = executor
         self.depth = depth
         self.schedule = schedule  # tuple of str(processor) choices from the root
         self.ages = ages          # per-processor steps since last scheduled
         self.counts = counts      # per-processor executed (non-noop) steps
+        self.state = state
+        self.slots = slots
         self.digest = None        # 16-byte digest of the state's byte key
         self.children: Optional[List["_Node"]] = None
         self.progress = False
@@ -623,6 +635,7 @@ class _Walker:
         self.names: Tuple[str, ...] = tuple(str(p) for p in self.procs)
         self.by_str = dict(zip(self.names, self.procs))
         self.index = {p: i for i, p in enumerate(self.procs)}
+        self.var_index = {v: j for j, v in enumerate(bundle.system.variables)}
         self.track_ages = spec.fairness == "k-bounded"
         self.track_counts = checks.needs_counts
         self.stats = ExploreStats()
@@ -637,12 +650,15 @@ class _Walker:
             self.bundle.system, self.bundle.program, self.bundle.base_scheduler
         )
         n = len(self.procs)
+        state = executor.exploration_state()
         return _Node(
             executor,
             0,
             (),
             (1,) * n if self.track_ages else None,
             (0,) * n if self.track_counts else None,
+            state,
+            self.keys.encoder.state_slots(*state),
         )
 
     def _root_node(self) -> _Node:
@@ -650,10 +666,38 @@ class _Walker:
         node.digest = _digest(self._key(node))
         return node
 
-    def _step_light(self, node: _Node, proc: NodeId, twin: Executor) -> _Node:
-        """The successor node *without* its digest — replay takes the
-        digest from the frontier entry instead of recomputing the key."""
+    def _state_after(self, node: _Node, proc: NodeId, twin: Executor):
+        """``twin.exploration_state()``, built from the parent's state:
+        only ``proc``'s entry and the variables the step copied change."""
+        proc_part, var_part = node.state
         i = self.index[proc]
+        proc_part = (
+            proc_part[:i] + ((twin.local[proc], twin.halted[proc]),)
+            + proc_part[i + 1:]
+        )
+        if twin.owned:
+            entries = list(var_part)
+            for v in twin.owned:
+                entries[self.var_index[v]] = twin.exploration_entry(v)
+            var_part = tuple(entries)
+        return proc_part, var_part
+
+    def _step_light(
+        self, node: _Node, proc: NodeId, twin: Executor, state=None
+    ) -> _Node:
+        """The successor node *without* its digest — replay takes the
+        digest from the frontier entry instead of recomputing the key.
+        ``state`` is the successor's state when the caller built it."""
+        if state is None:
+            state = self._state_after(node, proc, twin)
+        i = self.index[proc]
+        encoder = self.keys.encoder
+        slots = list(node.slots)
+        slots[i] = encoder.proc_slot(state[0][i])
+        n = len(self.procs)
+        for v in twin.owned:
+            j = self.var_index[v]
+            slots[n + j] = encoder.var_slot(state[1][j])
         ages = node.ages
         if ages is not None:
             ages = tuple(1 if j == i else a + 1 for j, a in enumerate(ages))
@@ -661,22 +705,24 @@ class _Walker:
         if counts is not None and not node.executor.halted[proc]:
             counts = tuple(c + 1 if j == i else c for j, c in enumerate(counts))
         return _Node(
-            twin, node.depth + 1, node.schedule + (self.names[i],), ages, counts
+            twin, node.depth + 1, node.schedule + (self.names[i],), ages, counts,
+            state, slots,
         )
 
-    def _child(self, node: _Node, proc: NodeId, twin: Executor) -> _Node:
-        child = self._step_light(node, proc, twin)
+    def _child(
+        self, node: _Node, proc: NodeId, twin: Executor, state=None
+    ) -> _Node:
+        child = self._step_light(node, proc, twin, state)
         child.digest = _digest(self._key(child))
         return child
 
     def _key(self, node: _Node) -> bytes:
-        proc_part, var_part = node.executor.exploration_state()
         vectors: List[Tuple] = []
         if node.ages is not None:
             vectors.append(node.ages)
         if node.counts is not None:
             vectors.append(node.counts)
-        key = self.keys.key(proc_part, var_part, tuple(vectors))
+        key = self.keys.key(node.state, node.slots, tuple(vectors))
         if self.spec.k is not None:
             # States inside an incomplete first window are not mergeable
             # with window-active ones: the schedule-position phase is
@@ -754,18 +800,16 @@ class _Walker:
         to_expand = set(choices)
         if spec.check_deadlock:
             to_expand.update(runnable)
-        successors: Dict[NodeId, Executor] = {}
+        successors: Dict[NodeId, Tuple[Executor, Any]] = {}
         if to_expand:
             self.stats.expanded += 1
             for proc in self.procs:
                 if proc in to_expand:
-                    successors[proc] = executor.successor(proc)
+                    twin = executor.successor(proc)
+                    successors[proc] = (twin, self._state_after(node, proc, twin))
                     self.stats.transitions += 1
         if spec.check_deadlock and runnable:
-            before = executor.exploration_state()
-            if all(
-                successors[p].exploration_state() == before for p in runnable
-            ):
+            if all(successors[p][1] == node.state for p in runnable):
                 node.children = []
                 return Violation(
                     "deadlock", "", node.depth, schedule,
@@ -773,7 +817,7 @@ class _Walker:
                     f"(circular wait among {len(runnable)} processors)",
                 )
         node.children = [
-            self._child(node, proc, successors[proc]) for proc in choices
+            self._child(node, proc, *successors[proc]) for proc in choices
         ]
         return None
 
@@ -821,7 +865,7 @@ class _Walker:
         for node in nodes:
             violation = self._visit(node)
             children = node.children
-            node.children = node.executor = None
+            node.children = node.executor = node.state = node.slots = None
             if violation is not None:
                 self.violation = violation
                 return []

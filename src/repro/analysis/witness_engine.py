@@ -61,7 +61,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.encoding import encode_value
 from ..core.hierarchy import MODEL_AXIS
@@ -503,23 +503,40 @@ class SweepResult:
     cache: DecisionCache = field(repr=False, default_factory=DecisionCache)
 
 
+def _record_classifier(
+    spec: SweepSpec,
+) -> Callable[[WitnessRecord], _CacheEntry]:
+    """Record -> its iso-class entry in one private cache under the weak
+    model, each record classified once however often it is asked."""
+    w_iset, w_sched = spec.weak_model
+    classes = DecisionCache()
+    entries: Dict[WitnessRecord, _CacheEntry] = {}
+
+    def classify(record: WitnessRecord) -> _CacheEntry:
+        entry = entries.get(record)
+        if entry is None:
+            entry = entries[record] = classes.entry_for(record, w_iset, w_sched)
+        return entry
+
+    return classify
+
+
 def _merge_results(
     spec: SweepSpec,
     per_shard: List[List[WitnessRecord]],
+    classify: Callable[[WitnessRecord], _CacheEntry],
 ) -> List[WitnessRecord]:
     """Sorted merge of shard outputs: concatenate in shard-plan order and
     drop cross-shard isomorphic duplicates, keeping first occurrences --
-    exactly the serial searcher's global-dedup semantics.  A private
-    cache classifies the records, so each class is kept once."""
-    w_iset, w_sched = spec.weak_model
-    classes = DecisionCache()
+    exactly the serial searcher's global-dedup semantics.  ``classify``
+    gives each record its class, so each class is kept once."""
     met: Set[_CacheEntry] = set()
     kept: List[WitnessRecord] = []
     for records in per_shard:
         for record in records:
             if spec.limit is not None and len(kept) >= spec.limit:
                 return kept
-            entry = classes.entry_for(record, w_iset, w_sched)
+            entry = classify(record)
             if entry not in met:
                 met.add(entry)
                 kept.append(record)
@@ -604,16 +621,21 @@ def run_sweep(
     resumed = len(per_shard)
 
     todo = [shard for shard in plan if shard not in per_shard]
+    classify = _record_classifier(spec)
     try:
         if workers == 0 or len(todo) <= 1:
             workers = 0
+            # The merge keeps min(limit, classes found), so the serial
+            # loop stops once the shards run so far hold `limit` classes.
+            found: Set[_CacheEntry] = set()
+            if spec.limit is not None:
+                for records in per_shard.values():
+                    found.update(map(classify, records))
             for shard in todo:
                 account(shard, *_sweep_shard(spec, shard, cache))
                 if spec.limit is not None:
-                    merged_so_far = _merge_results(
-                        spec, [per_shard[s] for s in plan if s in per_shard]
-                    )
-                    if len(merged_so_far) >= spec.limit:
+                    found.update(map(classify, per_shard[shard]))
+                    if len(found) >= spec.limit:
                         break
         else:
             # Submit every shard at once: each worker keeps its own
@@ -643,7 +665,9 @@ def run_sweep(
         if writer:
             writer.close()
 
-    merged = _merge_results(spec, [per_shard[s] for s in plan if s in per_shard])
+    merged = _merge_results(
+        spec, [per_shard[s] for s in plan if s in per_shard], classify
+    )
     s_iset, s_sched = spec.strong_model
     witnesses = [
         Witness(record.system(s_iset, s_sched), spec.weaker, spec.stronger)

@@ -223,7 +223,12 @@ class StateEncoder:
       structured entries per variable so embedded processor indices can
       be renamed); and
     * :meth:`identity_key` -- the final flat ``bytes`` key of the state
-      as-is, used directly when symmetry reduction is off.
+      as-is, used directly when symmetry reduction is off.  It is the
+      join (:meth:`join_key`) of one length-prefixed slot per processor
+      and per variable (:meth:`state_slots`), so a search that knows
+      which entries a step changed re-encodes only those slots
+      (:meth:`proc_slot`, :meth:`var_slot`) and joins the rest as they
+      were.
 
     Keys are self-delimiting (fixed slot count per system, every slot
     length-prefixed), so key equality is exact state equality.
@@ -255,18 +260,16 @@ class StateEncoder:
     def var_entries(self, var_part: Tuple[VarEntry, ...]) -> Tuple[VarEntry, ...]:
         """Structured entries with value payloads interned but processor
         references (owners, posters) kept as raw indices for renaming."""
+        return tuple(self._var_entry(entry) for entry in var_part)
+
+    def _var_entry(self, entry: Tuple) -> VarEntry:
         encode = self._intern.encode
-        out: List[VarEntry] = []
-        for entry in var_part:
-            if entry[0] == "plain":
-                _kind, value, locked, owner = entry
-                out.append(("P", encode((value, locked)), owner))
-            else:  # ("subvalue", base, ((proc_index, value), ...))
-                _kind, base, items = entry
-                out.append(
-                    ("Q", encode(base), tuple((i, encode(v)) for i, v in items))
-                )
-        return tuple(out)
+        if entry[0] == "plain":
+            _kind, value, locked, owner = entry
+            return ("P", encode((value, locked)), owner)
+        # ("subvalue", base, ((proc_index, value), ...))
+        _kind, base, items = entry
+        return ("Q", encode(base), tuple((i, encode(v)) for i, v in items))
 
     # -- rendering -----------------------------------------------------
 
@@ -293,6 +296,52 @@ class StateEncoder:
         """The final flat key: length-prefixed concatenation."""
         return _join(slots)
 
+    # -- identity keys, slot by slot ------------------------------------
+
+    def proc_slot(self, entry: Hashable) -> bytes:
+        """One processor's length-prefixed slot, rider values not yet
+        composed (:meth:`join_key` adds them)."""
+        blob = self._intern.encode(entry)
+        return _U32.pack(len(blob)) + blob
+
+    def var_slot(self, entry: Tuple) -> bytes:
+        """One variable's length-prefixed slot under the identity."""
+        blob = self.render_var(self._var_entry(entry), _identity)
+        return _U32.pack(len(blob)) + blob
+
+    def state_slots(
+        self, proc_part: Tuple[Hashable, ...], var_part: Tuple[Tuple, ...]
+    ) -> List[bytes]:
+        """Every slot of a state: processors, then variables."""
+        slots = [self.proc_slot(entry) for entry in proc_part]
+        slots.extend(self.var_slot(entry) for entry in var_part)
+        return slots
+
+    def join_key(
+        self,
+        slots: Sequence[bytes],
+        vectors: Sequence[Tuple[Hashable, ...]] = (),
+    ) -> bytes:
+        """The identity key of a state from its :meth:`state_slots`.
+
+        A rider column turns processor ``i``'s slot into the encoding of
+        the tuple ``(entry, vec[i], ...)``, which is the tuple tag, the
+        entry's slot as it stands, and the riders' own length-prefixed
+        encodings.
+        """
+        if not vectors:
+            return b"".join(slots)
+        encode = self._intern.encode
+        out: List[bytes] = []
+        for i in range(self.n_procs):
+            body = _T_TUPLE + slots[i] + b"".join(
+                _U32.pack(len(blob)) + blob
+                for blob in [encode(vec[i]) for vec in vectors]
+            )
+            out.append(_U32.pack(len(body)) + body)
+        out.extend(slots[self.n_procs:])
+        return b"".join(out)
+
     def identity_key(
         self,
         proc_part: Tuple[Hashable, ...],
@@ -300,10 +349,8 @@ class StateEncoder:
         vectors: Sequence[Tuple[Hashable, ...]] = (),
     ) -> bytes:
         """The flat key of the state under the identity permutation."""
-        slots = list(self.proc_slots(proc_part, vectors))
-        identity = lambda i: i  # noqa: E731 - trivially the identity
-        slots.extend(
-            self.render_var(entry, identity)
-            for entry in self.var_entries(var_part)
-        )
-        return _join(slots)
+        return self.join_key(self.state_slots(proc_part, var_part), vectors)
+
+
+def _identity(i: int) -> int:
+    return i

@@ -54,6 +54,12 @@ class CoinExecutor(Executor):
         super().__init__(system, program, scheduler, strict)
         self._rng = random.Random(seed)
 
+    def _clone_extras(self, twin: Executor) -> None:
+        # A forked PRNG: the twin draws exactly the coins this executor
+        # would have drawn next, and its draws do not advance this one's.
+        twin._rng = random.Random()
+        twin._rng.setstate(self._rng.getstate())
+
     def _execute(self, processor, action: Action) -> Hashable:
         if isinstance(action, FlipCoin):
             return self._rng.randrange(action.sides)

@@ -13,7 +13,7 @@ silently executing an illegal instruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Tuple
+from typing import Dict, Hashable, Set, Tuple
 
 from ..core.names import NodeId
 from ..core.system import InstructionSet, System
@@ -89,6 +89,11 @@ class Executor:
             p: program.initial_state(system.state0(p)) for p in system.processors
         }
         self.halted: Dict[NodeId, bool] = {p: False for p in system.processors}
+        #: processor -> position in ``system.processors``: how exploration
+        #: states name lock owners and subvalue posters.
+        self._index: Dict[NodeId, int] = {
+            p: i for i, p in enumerate(system.processors)
+        }
         if system.instruction_set.is_multiset:
             self.vars: Dict[NodeId, SubvalueVariable] = {
                 v: SubvalueVariable(v, system.state0(v)) for v in system.variables
@@ -97,11 +102,25 @@ class Executor:
             self.vars = {
                 v: PlainVariable(v, system.state0(v)) for v in system.variables
             }
+        #: Variables this executor may write in place.  A :meth:`successor`
+        #: shares every variable object with its parent, and neither owns
+        #: one afterwards: each copies a variable before its first write.
+        #: After ``successor(p)`` it names exactly the variables that
+        #: ``p``'s step copied.
+        self.owned: Set[NodeId] = set(self.vars)
 
     # ------------------------------------------------------------------
 
     def _variable_for(self, processor: NodeId, name) -> object:
         return self.vars[self.system.n_nbr(processor, name)]
+
+    def _writable(self, node: NodeId) -> object:
+        """Variable ``node``, copied first if this executor shares it."""
+        variable = self.vars[node]
+        if node not in self.owned:
+            variable = self.vars[node] = variable.copy()
+            self.owned.add(node)
+        return variable
 
     def _execute(self, processor: NodeId, action: Action) -> Hashable:
         allowed = _ALLOWED[self.system.instruction_set]
@@ -113,12 +132,17 @@ class Executor:
         if isinstance(action, Read):
             return self._variable_for(processor, action.name).read()
         if isinstance(action, Write):
-            self._variable_for(processor, action.name).write(action.value)
+            node = self.system.n_nbr(processor, action.name)
+            self._writable(node).write(action.value)
             return None
         if isinstance(action, Lock):
-            return self._variable_for(processor, action.name).try_lock(processor)
+            node = self.system.n_nbr(processor, action.name)
+            if self.vars[node].locked:
+                return False  # the paper's failed lock writes nothing
+            return self._writable(node).try_lock(processor)
         if isinstance(action, Unlock):
-            self._variable_for(processor, action.name).unlock(processor, self.strict)
+            node = self.system.n_nbr(processor, action.name)
+            self._writable(node).unlock(processor, self.strict)
             return None
         if isinstance(action, MultiLock):
             # Distinct target variables in a deterministic order: several
@@ -126,7 +150,8 @@ class Executor:
             # depend on set-iteration (hash) order or traces would vary
             # across interpreter runs.
             distinct = {self.system.n_nbr(processor, n) for n in action.names}
-            targets = [self.vars[node] for node in sorted(distinct, key=repr)]
+            nodes = sorted(distinct, key=repr)
+            targets = [self.vars[node] for node in nodes]
             self_held = [
                 v for v in targets if v.locked and v.lock_owner == processor
             ]
@@ -138,10 +163,11 @@ class Executor:
                 )
             if any(v.locked and v.lock_owner != processor for v in targets):
                 return False  # someone else holds one: acquire nothing
-            for v in targets:
+            for node, v in zip(nodes, targets):
                 if v.locked:
                     continue  # self-held (non-strict): re-entrant success
-                if not v.try_lock(processor):  # pragma: no cover - invariant
+                acquired = self._writable(node).try_lock(processor)
+                if not acquired:  # pragma: no cover - invariant
                     raise ExecutionError(
                         f"multi-lock acquisition of {v.node!r} failed "
                         f"despite the lock appearing free"
@@ -150,7 +176,8 @@ class Executor:
         if isinstance(action, Peek):
             return self._variable_for(processor, action.name).peek()
         if isinstance(action, Post):
-            self._variable_for(processor, action.name).post(processor, action.value)
+            node = self.system.n_nbr(processor, action.name)
+            self._writable(node).post(processor, action.value)
             return None
         if isinstance(action, (Internal, Halt)):
             return None
@@ -200,15 +227,25 @@ class Executor:
             self.step()
 
     def clone(self) -> "Executor":
-        """An independent copy of the execution state.
+        """An independent deep copy of the execution state.
 
-        Local states are immutable (shared); variable runtime objects are
-        re-created from their mutable fields.  The program is shared
+        Local states are immutable (shared); every variable runtime
+        object is copied, so the clone's variables may be written
+        directly without touching the original's.  The program is shared
         (pure); the scheduler is shared too -- use :meth:`step_as` on
         clones, since stateful schedulers are not forked.  The clone gets
         a fresh, empty event hub (observation sinks are not forked);
         subclasses fork their own bookkeeping via :meth:`_clone_extras`.
         """
+        twin = self._twin()
+        twin.vars = {node: variable.copy() for node, variable in self.vars.items()}
+        twin.owned = set(twin.vars)
+        self._clone_extras(twin)
+        return twin
+
+    def _twin(self) -> "Executor":
+        """A new executor of this type with this one's scalar fields,
+        local states and halted flags, and no variables yet."""
         twin = object.__new__(type(self))
         twin.system = self.system
         twin.program = self.program
@@ -217,27 +254,17 @@ class Executor:
         twin.step_count = self.step_count
         twin.local = dict(self.local)
         twin.halted = dict(self.halted)
-        twin.vars = {}
-        for node, variable in self.vars.items():
-            if isinstance(variable, SubvalueVariable):
-                fresh = SubvalueVariable(node, variable.base)
-                fresh.subvalues = dict(variable.subvalues)
-            else:
-                fresh = PlainVariable(node, variable.value)
-                fresh.locked = variable.locked
-                fresh.lock_owner = variable.lock_owner
-            twin.vars[node] = fresh
+        twin._index = self._index
         twin.events = EventHub()
-        self._clone_extras(twin)
         return twin
 
     def _clone_extras(self, twin: "Executor") -> None:
-        """Subclass hook: copy extra bookkeeping onto a fresh clone.
+        """Subclass hook: copy extra bookkeeping onto a fresh twin.
 
-        Called at the end of :meth:`clone` with the base state already
-        copied.  Subclasses that keep per-run state (recorders, PRNGs)
-        override this instead of relying on ``clone`` knowing their
-        attributes.
+        Called by :meth:`clone` and :meth:`successor` (before its step)
+        with the base state already copied.  Subclasses that keep per-run
+        state (recorders, PRNGs) override this instead of relying on
+        ``clone`` knowing their attributes.
         """
 
     # ------------------------------------------------------------------
@@ -277,37 +304,43 @@ class Executor:
         the snapshot by index permutation.  Halted flags ride along with
         the local states for the same reason.
         """
-        index = {p: i for i, p in enumerate(self.system.processors)}
         proc_part = tuple(
             (self.local[p], self.halted[p]) for p in self.system.processors
         )
-        var_part = []
-        for v in self.system.variables:
-            variable = self.vars[v]
-            if isinstance(variable, SubvalueVariable):
-                entries = tuple(
-                    sorted((index[p], val) for p, val in variable.subvalues.items())
-                )
-                var_part.append(("subvalue", variable.base, entries))
-            else:
-                owner = variable.lock_owner
-                var_part.append(
-                    (
-                        "plain",
-                        variable.value,
-                        variable.locked,
-                        index[owner] if owner in index else -1,
-                    )
-                )
-        return (proc_part, tuple(var_part))
+        var_part = tuple(self.exploration_entry(v) for v in self.system.variables)
+        return (proc_part, var_part)
+
+    def exploration_entry(self, node: NodeId) -> Hashable:
+        """Variable ``node``'s entry of :meth:`exploration_state`."""
+        variable = self.vars[node]
+        index = self._index
+        if isinstance(variable, SubvalueVariable):
+            entries = tuple(
+                sorted((index[p], val) for p, val in variable.subvalues.items())
+            )
+            return ("subvalue", variable.base, entries)
+        owner = variable.lock_owner
+        return (
+            "plain",
+            variable.value,
+            variable.locked,
+            index[owner] if owner in index else -1,
+        )
 
     def successor(self, processor: NodeId) -> "Executor":
-        """The executor one ``step_as(processor)`` later, as a fresh clone.
+        """The executor one ``step_as(processor)`` later.
 
-        The receiver is untouched; successive calls enumerate the
-        successor configurations of the current state.
+        The receiver's state is untouched; successive calls enumerate the
+        successor configurations of the current state.  Unlike
+        :meth:`clone`, the successor shares every variable object with
+        the receiver until one of them writes it (see :attr:`owned`), so
+        a step copies only the variables it writes.
         """
-        twin = self.clone()
+        twin = self._twin()
+        twin.vars = dict(self.vars)
+        twin.owned = set()
+        self.owned.clear()
+        self._clone_extras(twin)
         twin.step_as(processor)
         return twin
 

@@ -74,6 +74,12 @@ class PlainVariable:
     def snapshot(self) -> Hashable:
         return ("plain", self.value, self.locked)
 
+    def copy(self) -> "PlainVariable":
+        twin = PlainVariable(self.node, self.value)
+        twin.locked = self.locked
+        twin.lock_owner = self.lock_owner
+        return twin
+
 
 class SubvalueVariable:
     """A Q variable: base state plus per-processor subvalues."""
@@ -95,3 +101,8 @@ class SubvalueVariable:
 
     def snapshot(self) -> Hashable:
         return ("subvalue", self.base, multiset_key(self.subvalues.values()))
+
+    def copy(self) -> "SubvalueVariable":
+        twin = SubvalueVariable(self.node, self.base)
+        twin.subvalues = dict(self.subvalues)
+        return twin

@@ -594,7 +594,6 @@ class AnalysisService:
         if not isinstance(spec_doc, dict):
             raise ServeError("witness request needs a 'spec' object")
         spec = SweepSpec.from_json(spec_doc)
-        misses_before = self.decisions.misses
         result = run_sweep(spec, workers=workers, cache=self.decisions, hub=hub)
         return {
             "op": "witness",
@@ -602,7 +601,9 @@ class AnalysisService:
             "witnesses": [w.describe() for w in result.witnesses],
             "count": len(result.witnesses),
             "stats": result.stats.to_json(),
-            "cache_misses": self.decisions.misses - misses_before,
+            # The sweep's own count, summed over its shards wherever they
+            # ran: pool workers decide in caches of their own.
+            "cache_misses": result.stats.cache_misses,
         }
 
     def _explore_job(self, request: dict, workers: int,

@@ -134,6 +134,33 @@ class TestAgreement:
         first = run_sweep(spec_one, workers=0)
         assert first.records == full.records[:1]
 
+    def test_unreached_limit_classifies_each_record_once(self, monkeypatch):
+        """A serial sweep whose limit is never reached computes the
+        canonical forms an unlimited one does, for the same witnesses,
+        and a reached limit stops early with the first ``limit`` ones."""
+        import repro.core.quotient as quotient
+
+        calls = []
+        real = quotient.canonical_form
+
+        def counting(system):
+            calls.append(system)
+            return real(system)
+
+        monkeypatch.setattr(quotient, "canonical_form", counting)
+        counts, results = [], []
+        for limit in (None, 10**6, 4):
+            calls.clear()
+            spec = SweepSpec("Q", "L", allow_marks=True, limit=limit, **SMALL)
+            results.append(run_sweep(spec, workers=0))
+            counts.append(len(calls))
+        full, unreached, reached = results
+        assert counts[0] == counts[1] > 0
+        assert len(full.records) == 11
+        assert unreached.records == full.records
+        assert reached.records == full.records[:4]
+        assert reached.stats.enumerated < full.stats.enumerated
+
     @settings(max_examples=5, deadline=None)
     @given(
         n_procs=st.integers(min_value=1, max_value=2),

@@ -56,3 +56,48 @@ def test_sides_parameter():
     ex = CoinExecutor(system, prog, RoundRobinScheduler(system.processors), seed=1)
     ex.run(2)
     assert all(0 <= ex.local[p][1] < 10 for p in system.processors)
+
+
+def counting_flipper():
+    """Flips forever, remembering every coin it drew."""
+    return FunctionalProgram(
+        initial=lambda s0: (),
+        action=lambda st: FlipCoin(1000),
+        step=lambda st, a, r: st + (r,),
+    )
+
+
+def _coin_executor(seed=3):
+    system = System(figure1_network(), None, InstructionSet.Q)
+    return CoinExecutor(
+        system, counting_flipper(), RoundRobinScheduler(system.processors), seed=seed
+    )
+
+
+class TestTwinsForkTheCoins:
+    """A clone or successor draws the coins its original would have drawn,
+    and drawing them leaves the original's generator where it was."""
+
+    def _reference(self, steps):
+        """The local states after ``steps`` scheduled steps of one run."""
+        ex = _coin_executor()
+        ex.run(steps)
+        return ex.local
+
+    def test_clone_then_step(self):
+        ex = _coin_executor()
+        ex.step()
+        twin = ex.clone()
+        twin.step()
+        assert twin.local == self._reference(2)
+        ex.step()
+        assert ex.local == self._reference(2)
+
+    def test_successor(self):
+        ex = _coin_executor()
+        ex.step()
+        twin = ex.successor("q")
+        assert twin.local == self._reference(2)
+        assert ex.successor("q").local == twin.local
+        ex.step()
+        assert ex.local == self._reference(2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import InstructionSet, System
+from repro.core import InstructionSet, Network, System
 from repro.exceptions import ExecutionError
 from repro.runtime import (
     Executor,
@@ -114,6 +114,84 @@ class TestSemantics:
         base, values = ex.local["p"][1]
         assert base == 42
         assert values == ("sub", "sub")
+
+
+
+def _counting(action_for):
+    """Each step runs ``action_for(counter)`` and bumps the counter, so
+    every write carries a value the variable has not held before."""
+    return FunctionalProgram(
+        initial=lambda s0: 0,
+        action=action_for,
+        step=lambda st, a, r: st + 1,
+    )
+
+
+def _lock_cycle(lock):
+    """Alternates ``lock`` and ``Unlock("n")``; a failed lock retries."""
+    return FunctionalProgram(
+        initial=lambda s0: "free",
+        action=lambda st: lock if st == "free" else Unlock("n"),
+        step=lambda st, a, r: ("held" if r else "free") if st == "free" else "free",
+    )
+
+
+#: One program per write path of the executor, each on a system where
+#: both processors write one shared variable ``v``.
+_WRITE_KINDS = {
+    "write": (InstructionSet.S, figure1_network,
+              _counting(lambda st: Write("n", st))),
+    "post": (InstructionSet.Q, figure1_network,
+             _counting(lambda st: Post("n", st))),
+    "lock-unlock": (InstructionSet.L, figure1_network, _lock_cycle(Lock("n"))),
+    # MultiLock's two names resolve to the one variable v.
+    "multilock": (
+        InstructionSet.L2,
+        lambda: Network(
+            ("n", "m"), {"p": {"n": "v", "m": "v"}, "q": {"n": "v", "m": "v"}}
+        ),
+        _lock_cycle(MultiLock(("n", "m"))),
+    ),
+}
+
+
+class TestSuccessorCopyOnWrite:
+    """A successor shares its parent's variables until either writes."""
+
+    @pytest.mark.parametrize("kind", sorted(_WRITE_KINDS))
+    def test_parent_and_successor_never_see_each_others_writes(self, kind):
+        iset, network, program = _WRITE_KINDS[kind]
+        system = System(network(), {"v": 42}, iset)
+        schedule = ("p", "q", "p", "p", "q", "q")
+        for warmup in range(len(schedule) + 1):
+            for proc in system.processors:
+                ex = Executor(system, program, RoundRobinScheduler(("p", "q")))
+                for q in schedule[:warmup]:
+                    ex.step_as(q)
+                before = ex.exploration_state()
+                succ = ex.successor(proc)
+                assert ex.exploration_state() == before
+                reached = succ.exploration_state()
+                for q in schedule:
+                    ex.step_as(q)
+                    assert succ.exploration_state() == reached
+                moved = ex.exploration_state()
+                for q in schedule:
+                    succ.step_as(q)
+                    assert ex.exploration_state() == moved
+
+    def test_owned_names_what_the_step_copied(self):
+        iset, network, program = _WRITE_KINDS["write"]
+        ex = Executor(System(network(), {"v": 42}, iset), program,
+                      RoundRobinScheduler(("p", "q")))
+        succ = ex.successor("p")
+        assert succ.owned == {"v"}
+        assert succ.vars["v"] is not ex.vars["v"]
+        idle = Executor(sys_with(InstructionSet.S), IdleProgram(),
+                        RoundRobinScheduler(("p", "q")))
+        succ = idle.successor("p")
+        assert succ.owned == set()
+        assert succ.vars["v"] is idle.vars["v"]
 
 
 class TestHalting:

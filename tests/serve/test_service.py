@@ -60,6 +60,17 @@ class TestOps:
         assert result["count"] == len(result["witnesses"]) >= 1
         assert result["cache_misses"] > 0  # cold service really computed
 
+    def test_pooled_witness_request_counts_its_workers_misses(self):
+        request = {"op": "witness", "spec": WITNESS, "workers": 2}
+
+        async def go():
+            async with AnalysisService() as service:
+                return [await service.submit(dict(request)) for _ in range(2)]
+
+        first, repeat = run(go())
+        assert first["cache_misses"] == first["stats"]["cache_misses"] > 0
+        assert repeat["cache_misses"] == 0  # a memo hit decided nothing
+
     def test_explore_request(self):
         async def go():
             async with AnalysisService() as service:
